@@ -9,7 +9,7 @@ trips an assertion at import time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,6 +26,7 @@ __all__ = [
     "BdfScheme",
     "scheme",
     "History",
+    "history_sum",
     "discrete_derivative",
     "derivative_defect",
 ]
@@ -160,6 +161,19 @@ class History:
         return iter(self._items)
 
 
+def history_sum(sch: BdfScheme, hist: History) -> np.ndarray:
+    """History part ``sum_{l=1..k} xi_l y^{n-l}`` of the BDF-k difference.
+
+    ``hist`` holds y^{n-1}..y^{n-k} newest-first; the terms are added in
+    that order.
+    """
+    if len(hist) < sch.order:
+        raise IncompleteHistory(
+            f"need {sch.order} history entries, have {len(hist)}"
+        )
+    return sum(c * y for c, y in zip(sch.coeffs[1:], hist.items()))
+
+
 def discrete_derivative(sch: BdfScheme, tau: float, newest: np.ndarray,
                         hist: History) -> np.ndarray:
     """Evaluate ``(1/tau) (xi_0 y^n + sum_l xi_l y^{n-l})``.
@@ -168,17 +182,11 @@ def discrete_derivative(sch: BdfScheme, tau: float, newest: np.ndarray,
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if len(hist) < sch.order:
-        raise IncompleteHistory(
-            f"need {sch.order} history entries, have {len(hist)}"
-        )
+    past = history_sum(sch, hist)
     newest = np.asarray(newest, dtype=float)
-    acc = sch.coeffs[0] * newest
-    for c, past in zip(sch.coeffs[1:], hist.items()):
-        if past.shape != newest.shape:
-            raise DimensionMismatch("history entry shape differs from newest")
-        acc = acc + c * past
-    return acc / tau
+    if hist.newest().shape != newest.shape:
+        raise DimensionMismatch("history entry shape differs from newest")
+    return (sch.coeffs[0] * newest + past) / tau
 
 
 def derivative_defect(sch: BdfScheme, tau: float, f, df, t: float) -> float:

@@ -87,6 +87,25 @@ class RunConfig:
     def validate(self) -> None:
         if self.gamma is not None and self.stabilization is not None:
             raise ValidationError("--gamma and --L are mutually exclusive")
+        for name, value in (("tau", self.tau), ("T", self.t_end),
+                            ("tol", self.tol), ("s", self.tol_exponent),
+                            ("omega", self.omega)):
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise ValidationError(
+                    f"{name} must be finite and positive, got {value}")
+        for name, values in (("taus", self.taus or []),
+                             ("omegas", self.omegas)):
+            if not all(math.isfinite(v) and v > 0.0 for v in values):
+                raise ValidationError(
+                    f"{name} must be finite and positive, got {values}")
+        if self.stabilization is not None and not (
+                math.isfinite(self.stabilization) and self.stabilization >= 0.0):
+            raise ValidationError(
+                f"L must be finite and >= 0, got {self.stabilization}")
+        if not all(0.0 < g < 1.0 for g in self.gammas):
+            raise ValidationError(f"gammas must lie in (0, 1), got {self.gammas}")
+        if self.grid_n < 2:
+            raise ValidationError(f"n must be >= 2, got {self.grid_n}")
         if not 1 <= self.order <= 5:
             raise ValidationError(f"k must be in 1..5, got {self.order}")
         for k in self.orders:
@@ -183,7 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value file; flags override it")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--dry-run", action="store_true",
                        help="print the resolved configuration and exit")
 
@@ -222,8 +240,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", action="append", default=[],
                    metavar="I,J=RATE", help="exchange rate (repeatable)")
 
+    def threads_opt(p):
+        p.add_argument("--threads", type=int,
+                       help="worker threads for the study cells (default 1)")
+
     p = sub.add_parser("convergence", help="temporal-order study")
     common(p)
+    threads_opt(p)
     p.add_argument("--k", type=int)
     p.add_argument("--taus", type=str)
     p.add_argument("--s", type=str, dest="tol_exponent")
@@ -235,6 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("balance", help="tolerance-balancing study")
     common(p)
+    threads_opt(p)
     p.add_argument("--k", type=int)
     p.add_argument("--taus", type=str)
     p.add_argument("--T", type=str)
@@ -297,7 +321,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "reference", None):
         cfg.reference = args.reference
     cfg.seed = getattr(args, "seed", 0)
-    cfg.threads = getattr(args, "threads", 1)
+    if getattr(args, "threads", None) is not None:
+        cfg.threads = args.threads
     cfg.dry_run = getattr(args, "dry_run", False)
     cfg.validate()
     return cfg
@@ -333,16 +358,18 @@ def _steps_csv(traj: splitsolve.Trajectory) -> str:
 
 
 def _build_single_system(cfg: RunConfig):
-    if cfg.subcommand == "toy" or cfg.problem == "toy":
+    """The system the subcommand names; ``convergence`` names it by --problem."""
+    problem = cfg.problem if cfg.subcommand == "convergence" else cfg.subcommand
+    if problem == "toy":
         return system.make_toy(cfg.omega)
-    if cfg.subcommand == "biot2d" or cfg.problem == "biot2d":
+    if problem == "biot2d":
         return fem2d.manufactured_system(cfg.grid_n)
-    if cfg.subcommand == "network":
+    if problem == "network":
         count = cfg.networks
         return system.make_network_toy(
             count, cfg.alphas[:count], cfg.moduli[:count],
             cfg.mobilities[:count], cfg.exchange)
-    raise ValidationError(f"unknown problem kind {cfg.problem!r}")
+    raise ValidationError(f"unknown problem kind {problem!r}")
 
 
 def _split_config(cfg: RunConfig, tau: float) -> splitsolve.SplitConfig:
@@ -429,8 +456,7 @@ def _run_iters(cfg: RunConfig) -> int:
     taus = cfg.taus or [2.0 ** -e for e in range(3, 9)]
     for k in cfg.orders:
         result = studies.iteration_study(k, cfg.omegas, cfg.gammas, taus,
-                                         t_end=cfg.t_end,
-                                         threads=cfg.threads)
+                                         t_end=cfg.t_end)
         path = out / f"iterations_{k}.csv"
         _write_atomic(path, result.report.to_csv())
         print(f"k={k}:")

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse
 
-from .linalg import DenseMatrix, SparseMatrix, factorize
+from .linalg import factorize
 from .system import CoupledSystem, semidiscrete_solution
 
 __all__ = [
@@ -369,15 +369,9 @@ def assemble_biot(grid: Grid2D, params: BiotParameters,
     umask = np.concatenate([mask, mask])
     stiff_i = stiff[mask][:, mask]
     mass_i = mass[mask][:, mask]
-    elast_i = elast[umask][:, umask]
-    coup_i = coup[mask][:, umask]
+    elasticity = elast[umask][:, umask]
+    coupling = coup[mask][:, umask]
     vec_stiff = scipy.sparse.block_diag([stiff_i, stiff_i], format="csr")
-
-    elasticity = SparseMatrix.from_scipy(elast_i, symmetric=True)
-    flow = SparseMatrix.from_scipy(params.kappa_over_nu * stiff_i,
-                                   symmetric=True)
-    storage = SparseMatrix.from_scipy(params.inv_m * mass_i, symmetric=True)
-    coupling = SparseMatrix.from_scipy(coup_i)
 
     loads = _LoadAssembler(grid)
     if solution is not None:
@@ -390,16 +384,16 @@ def assemble_biot(grid: Grid2D, params: BiotParameters,
         load_u = lambda t: np.zeros(nu)
         load_p = lambda t: np.zeros(np_)
         p0 = np.zeros(np_)
-    u0 = factorize(elasticity).solve(coupling.rmatvec(p0) + load_u(0.0))
+    u0 = factorize(elasticity).solve(coupling.T @ p0 + load_u(0.0))
 
     sys = CoupledSystem(
         elasticity=elasticity,
-        flow_stiffness=flow,
-        storage=storage,
+        flow_stiffness=params.kappa_over_nu * stiff_i,
+        storage=params.inv_m * mass_i,
         coupling=coupling,
-        norm_u=SparseMatrix.from_scipy(vec_stiff, symmetric=True),
-        norm_p_grad=SparseMatrix.from_scipy(stiff_i, symmetric=True),
-        norm_p=SparseMatrix.from_scipy(mass_i, symmetric=True),
+        norm_u=vec_stiff,
+        norm_p_grad=stiff_i,
+        norm_p=mass_i,
         elastic_coercivity=2.0 * params.mu,
         elastic_continuity=2.0 * params.mu + 2.0 * params.lam,
         flow_coercivity=params.kappa_over_nu,

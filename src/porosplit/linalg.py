@@ -1,42 +1,37 @@
-"""Minimal dense/sparse linear-algebra substrate.
+"""Factorization and norm helpers over plain numpy / scipy.sparse operators.
 
-Vectors are plain 1-D numpy arrays. Matrices come in two flavors:
-:class:`DenseMatrix` (row-major numpy storage, LU-based direct solve) and
-:class:`SparseMatrix` (CSR storage, conjugate-gradient solve for SPD
-systems). Dense factorizations are backed by LAPACK via scipy; the CG
-solver is written out here so that direct and iterative routes stay
-independent of each other.
+Vectors are 1-D float arrays. Operators are either dense ``numpy.ndarray``
+matrices (the toy and network systems) or ``scipy.sparse`` matrices (the
+P1 Biot blocks); both multiply with ``@`` and transpose with ``.T``.
+:func:`factorize` is the one factorization entry point: it picks LAPACK
+LU (``scipy.linalg.lu_factor``/``lu_solve``) for an ndarray and SuperLU
+(``scipy.sparse.linalg.splu``) for a sparse matrix, and applies the same
+relative-pivot singularity check to both.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+# scipy.sparse.linalg is not imported here: scipy loads it on first use,
+# so runs on dense operators alone do not load SuperLU.
+
 __all__ = [
     "LinalgError",
     "SingularMatrix",
-    "NotConverged",
-    "NotSymmetric",
     "DimensionMismatch",
-    "DenseMatrix",
-    "SparseMatrix",
     "as_vector",
-    "solve_dense",
+    "as_array",
     "factorize",
-    "solve_spd",
     "weighted_norm_sq",
 ]
 
-# Dense direct solves are used up to this dimension; beyond it callers are
-# expected to route SPD systems through solve_spd.
-DENSE_LIMIT = 2000
-
 _PIVOT_REL_TOL = 1e-12
-_SYMMETRY_REL_TOL = 1e-12
 
 
 class LinalgError(Exception):
@@ -45,14 +40,6 @@ class LinalgError(Exception):
 
 class SingularMatrix(LinalgError):
     """A pivot underflowed the singularity threshold during factorization."""
-
-
-class NotConverged(LinalgError):
-    """Iterative solver exhausted its iteration cap."""
-
-
-class NotSymmetric(LinalgError):
-    """Operation requires a symmetric matrix but the flag/values disagree."""
 
 
 class DimensionMismatch(LinalgError):
@@ -67,252 +54,61 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-class DenseMatrix:
-    """Dense matrix in row-major storage."""
-
-    def __init__(self, entries):
-        a = np.asarray(entries, dtype=float)
-        if a.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-D array, got shape {a.shape}")
-        self.entries = a
-
-    @property
-    def shape(self):
-        return self.entries.shape
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    @classmethod
-    def identity(cls, n: int) -> "DenseMatrix":
-        return cls(np.eye(n))
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = as_vector(x)
-        if x.size != self.cols:
-            raise DimensionMismatch(f"matvec: {self.shape} @ {x.shape}")
-        return self.entries @ x
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """Transpose product ``A^T y``."""
-        y = as_vector(y)
-        if y.size != self.rows:
-            raise DimensionMismatch(f"rmatvec: {self.shape}^T @ {y.shape}")
-        return self.entries.T @ y
-
-    def to_dense(self) -> np.ndarray:
-        return self.entries
-
-    def __repr__(self):
-        return f"DenseMatrix(shape={self.shape})"
+def as_array(op) -> np.ndarray:
+    """Dense 2-D float array of an ndarray or scipy.sparse operator."""
+    if scipy.sparse.issparse(op):
+        return op.toarray()
+    return np.asarray(op, dtype=float)
 
 
-class SparseMatrix:
-    """Compressed sparse row matrix.
+class Factor:
+    """Reusable LU factorization of a square matrix; built by :func:`factorize`."""
 
-    Column indices must be strictly increasing within each row and the row
-    offsets monotone. When ``symmetric`` is set the values are checked for
-    symmetry up to a small relative tolerance at construction.
-    """
-
-    def __init__(self, rows, cols, indptr, indices, data, symmetric=False):
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        data = np.asarray(data, dtype=float)
-        if indptr.size != rows + 1 or indptr[0] != 0 or indptr[-1] != data.size:
-            raise DimensionMismatch("malformed row offsets")
-        if np.any(np.diff(indptr) < 0):
-            raise DimensionMismatch("row offsets must be monotone")
-        if indices.size != data.size:
-            raise DimensionMismatch("index/value length mismatch")
-        if indices.size and (indices.min() < 0 or indices.max() >= cols):
-            raise DimensionMismatch("column index out of range")
-        for r in range(rows):
-            lo, hi = indptr[r], indptr[r + 1]
-            if hi - lo > 1 and np.any(np.diff(indices[lo:hi]) <= 0):
-                raise DimensionMismatch(
-                    f"column indices not strictly increasing in row {r}"
-                )
-        self._csr = scipy.sparse.csr_matrix(
-            (data, indices, indptr), shape=(rows, cols)
-        )
-        self.symmetric = bool(symmetric)
-        if self.symmetric:
-            if rows != cols:
-                raise NotSymmetric("symmetric flag on a non-square matrix")
-            gap = scipy.sparse.linalg.norm(self._csr - self._csr.T)
-            scale = max(scipy.sparse.linalg.norm(self._csr), 1e-300)
-            if gap > _SYMMETRY_REL_TOL * scale:
-                raise NotSymmetric(
-                    f"symmetric flag set but relative asymmetry is {gap / scale:.3e}"
-                )
-
-    @classmethod
-    def from_scipy(cls, m, symmetric=False) -> "SparseMatrix":
-        csr = scipy.sparse.csr_matrix(m)
-        csr.sort_indices()
-        csr.sum_duplicates()
-        return cls(
-            csr.shape[0], csr.shape[1], csr.indptr, csr.indices, csr.data, symmetric
-        )
-
-    @classmethod
-    def from_dense(cls, a, symmetric=False) -> "SparseMatrix":
-        return cls.from_scipy(scipy.sparse.csr_matrix(np.asarray(a, dtype=float)),
-                              symmetric)
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls.from_scipy(scipy.sparse.identity(n, format="csr"), symmetric=True)
-
-    @property
-    def shape(self):
-        return self._csr.shape
-
-    @property
-    def rows(self) -> int:
-        return self._csr.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._csr.shape[1]
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self._csr.indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self._csr.indices
-
-    @property
-    def data(self) -> np.ndarray:
-        return self._csr.data
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = as_vector(x)
-        if x.size != self.cols:
-            raise DimensionMismatch(f"matvec: {self.shape} @ {x.shape}")
-        return self._csr @ x
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        y = as_vector(y)
-        if y.size != self.rows:
-            raise DimensionMismatch(f"rmatvec: {self.shape}^T @ {y.shape}")
-        return self._csr.T @ y
-
-    def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
-
-    def diagonal(self) -> np.ndarray:
-        return self._csr.diagonal()
-
-    def __repr__(self):
-        return f"SparseMatrix(shape={self.shape}, nnz={self._csr.nnz})"
-
-
-def _require_square(m) -> None:
-    if m.rows != m.cols:
-        raise DimensionMismatch(f"expected a square matrix, got {m.shape}")
-
-
-class DenseFactor:
-    """Reusable LU factorization of a square dense matrix."""
-
-    def __init__(self, m: DenseMatrix):
-        _require_square(m)
-        a = m.to_dense()
-        row_mag = float(np.abs(a).sum(axis=1).max()) if a.size else 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-        pivots = np.abs(np.diag(lu))
-        if row_mag == 0.0 or np.any(pivots <= _PIVOT_REL_TOL * row_mag):
-            raise SingularMatrix(
-                f"pivot below {_PIVOT_REL_TOL:g} x max row magnitude"
-            )
-        self._lu = (lu, piv)
+    def __init__(self, m):
+        if len(m.shape) != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionMismatch(f"expected a square matrix, got {m.shape}")
         self.shape = m.shape
+        row_mag = float(abs(m).sum(axis=1).max()) if m.size else 0.0
+        if row_mag == 0.0:
+            raise SingularMatrix("zero matrix")
+        if scipy.sparse.issparse(m):
+            try:
+                lu = scipy.sparse.linalg.splu(m.tocsc())
+            except RuntimeError as exc:      # SuperLU: exactly singular
+                raise SingularMatrix(str(exc)) from exc
+            pivots = lu.U.diagonal()
+            self._solve = lu.solve
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                lu_piv = scipy.linalg.lu_factor(np.asarray(m, dtype=float),
+                                                check_finite=False)
+            pivots = np.diag(lu_piv[0])
+            self._solve = functools.partial(scipy.linalg.lu_solve, lu_piv,
+                                            check_finite=False)
+        if np.any(np.abs(pivots) <= _PIVOT_REL_TOL * row_mag):
+            raise SingularMatrix(
+                f"pivot below {_PIVOT_REL_TOL:g} x max row magnitude")
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = as_vector(rhs)
-        if rhs.size != self.shape[0]:
+    def solve(self, rhs) -> np.ndarray:
+        """Solve for one right-hand side (1-D) or a block of columns (2-D)."""
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != self.shape[0]:
             raise DimensionMismatch(f"solve: {self.shape} vs rhs {rhs.shape}")
-        return scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
+        return self._solve(rhs)
 
 
-def factorize(m) -> DenseFactor:
-    """Factor a (densified) square matrix once for repeated solves."""
-    if isinstance(m, SparseMatrix):
-        m = DenseMatrix(m.to_dense())
-    return DenseFactor(m)
-
-
-def solve_dense(m: DenseMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``m x = rhs`` by LU with partial pivoting.
+def factorize(m) -> Factor:
+    """Factor a square ndarray (LAPACK) or sparse matrix (SuperLU) once
+    for repeated solves.
 
     Raises :class:`SingularMatrix` when a pivot falls below
     ``1e-12 x max row magnitude``.
     """
-    return DenseFactor(m).solve(rhs)
+    return Factor(m)
 
 
-def solve_spd(m: SparseMatrix, rhs: np.ndarray, rel_tol: float,
-              max_iter: int | None = None, jacobi: bool = False) -> np.ndarray:
-    """Conjugate gradients for a symmetric positive definite matrix.
-
-    Stops when ``||m x - rhs||_2 <= rel_tol * ||rhs||_2``; raises
-    :class:`NotConverged` after ``max_iter`` iterations (default ``10 * n``).
-    """
-    if not (0.0 < rel_tol < 1.0):
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    if not getattr(m, "symmetric", False):
-        raise NotSymmetric("solve_spd requires the symmetric flag")
-    _require_square(m)
-    rhs = as_vector(rhs)
-    n = m.rows
-    if rhs.size != n:
-        raise DimensionMismatch(f"solve_spd: {m.shape} vs rhs {rhs.shape}")
-    b_norm = float(np.linalg.norm(rhs))
-    if b_norm == 0.0:
-        return np.zeros(n)
-    if max_iter is None:
-        max_iter = 10 * n
-
-    dinv = None
-    if jacobi:
-        diag = m.diagonal()
-        if np.any(diag <= 0.0):
-            raise NotSymmetric("Jacobi preconditioner needs positive diagonal")
-        dinv = 1.0 / diag
-
-    x = np.zeros(n)
-    r = rhs.copy()
-    z = dinv * r if jacobi else r
-    p = z.copy()
-    rz = float(r @ z)
-    for _ in range(max_iter):
-        if np.linalg.norm(r) <= rel_tol * b_norm:
-            return x
-        ap = m.matvec(p)
-        alpha = rz / float(p @ ap)
-        x = x + alpha * p
-        r = r - alpha * ap
-        z = dinv * r if jacobi else r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    if np.linalg.norm(r) <= rel_tol * b_norm:
-        return x
-    raise NotConverged(f"CG did not reach rel_tol={rel_tol:g} in {max_iter} iterations")
-
-
-def weighted_norm_sq(m, x: np.ndarray) -> float:
+def weighted_norm_sq(m, x) -> float:
     """Quadratic form ``x^T m x`` for a symmetric positive semidefinite m.
 
     Tiny negative round-off is clipped to zero.
@@ -320,4 +116,4 @@ def weighted_norm_sq(m, x: np.ndarray) -> float:
     x = as_vector(x)
     if m.shape[0] != m.shape[1] or x.size != m.shape[1]:
         raise DimensionMismatch(f"weighted_norm_sq: {m.shape} vs {x.shape}")
-    return max(float(x @ m.matvec(x)), 0.0)
+    return max(float(x @ (m @ x)), 0.0)

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse
 
 from . import linalg
-from .bdf import BdfScheme, History, IncompleteHistory, scheme as make_scheme
-from .linalg import DimensionMismatch, factorize, weighted_norm_sq
+from .bdf import BdfScheme, History, history_sum, scheme as make_scheme
+from .linalg import factorize, weighted_norm_sq
 from .system import CoupledSystem
 
 __all__ = [
@@ -86,12 +87,14 @@ class SplitConfig:
     weights: Optional[tuple[float, float, float]] = None
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_inner < 1:
             raise ValueError("max_inner must be >= 1")
-        if self.stabilization is not None and self.stabilization < 0.0:
-            raise ValueError("stabilization must be >= 0")
+        if self.stabilization is not None and not (
+                math.isfinite(self.stabilization) and self.stabilization >= 0.0):
+            raise ValueError("stabilization must be finite and >= 0, got "
+                             f"{self.stabilization}")
         if self.gamma_target is not None and not 0.0 < self.gamma_target < 1.0:
             raise ValueError("gamma_target must lie in (0, 1)")
         if self.stabilization is not None and self.gamma_target is not None:
@@ -198,11 +201,10 @@ def stabilization_for_contraction(sys: CoupledSystem, gamma: float,
         raise ValueError("gamma must lie in (0, 1)")
     if tau <= 0.0 or xi0 <= 0.0:
         raise ValueError("tau and xi0 must be positive")
-    s = float(sys.coupling.matvec(
-        factorize(sys.elasticity).solve(
-            sys.coupling.rmatvec(np.ones(1))))[0])
-    c_val = float(sys.storage.to_dense()[0, 0])
-    b_val = float(sys.flow_stiffness.to_dense()[0, 0])
+    s = float((sys.coupling @ factorize(sys.elasticity).solve(
+        sys.coupling.T @ np.ones(1)))[0])
+    c_val = float(sys.storage[0, 0])
+    b_val = float(sys.flow_stiffness[0, 0])
     return s / (1.0 - gamma) + gamma / (1.0 - gamma) * (c_val + tau / xi0 * b_val)
 
 
@@ -241,7 +243,11 @@ def predict_iterations(tol: float, eps1: float, gamma: float) -> int:
 
 
 class StepperWork:
-    """Factorizations reused across the steps of one integration run."""
+    """Factorizations reused across the steps of one integration run.
+
+    The operators are used as the system stores them: dense blocks give
+    dense LU factors, sparse blocks give SuperLU factors.
+    """
 
     def __init__(self, sys: CoupledSystem, sch: BdfScheme, tau: float,
                  stabilization: float):
@@ -250,14 +256,11 @@ class StepperWork:
         self.tau = tau
         self.stabilization = stabilization
         xi0 = sch.leading
-        c = sys.storage.to_dense()
-        b = sys.flow_stiffness.to_dense()
-        mh = sys.norm_p.to_dense()
-        self.mass_p = mh
         try:
             self.a_solve = factorize(sys.elasticity)
-            self.p_solve = factorize(linalg.DenseMatrix(
-                (xi0 / tau) * (c + stabilization * mh) + b))
+            self.p_solve = factorize(
+                (xi0 / tau) * (sys.storage + stabilization * sys.norm_p)
+                + sys.flow_stiffness)
         except linalg.LinalgError as exc:
             raise SolverFailure(f"factorization failed: {exc}") from exc
         self._block = None
@@ -266,28 +269,23 @@ class StepperWork:
         if self._block is None:
             sys, tau = self.sys, self.tau
             xi0 = self.scheme.leading
-            a = sys.elasticity.to_dense()
-            d = sys.coupling.to_dense()
-            top = np.hstack([a, -d.T])
-            bottom = np.hstack([(xi0 / tau) * d,
-                                (xi0 / tau) * sys.storage.to_dense()
-                                + sys.flow_stiffness.to_dense()])
+            d = sys.coupling
+            blocks = [[sys.elasticity, -d.T],
+                      [(xi0 / tau) * d,
+                       (xi0 / tau) * sys.storage + sys.flow_stiffness]]
+            if scipy.sparse.issparse(sys.elasticity):
+                block = scipy.sparse.bmat(blocks, format="csc")
+            else:
+                block = np.block(blocks)
             try:
-                self._block = factorize(linalg.DenseMatrix(
-                    np.vstack([top, bottom])))
+                self._block = factorize(block)
             except linalg.LinalgError as exc:
                 raise SolverFailure(f"block factorization failed: {exc}") from exc
         return self._block
 
 
 def _history_sums(sch: BdfScheme, hist_u: History, hist_p: History):
-    if len(hist_u) < sch.order or len(hist_p) < sch.order:
-        raise IncompleteHistory(
-            f"need {sch.order} history entries, have "
-            f"{len(hist_u)}/{len(hist_p)}")
-    su = sum(c * u for c, u in zip(sch.coeffs[1:], hist_u.items()))
-    sp = sum(c * p for c, p in zip(sch.coeffs[1:], hist_p.items()))
-    return su, sp
+    return history_sum(sch, hist_u), history_sum(sch, hist_p)
 
 
 def step_split(sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
@@ -308,8 +306,7 @@ def step_split(sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
     su, sp = _history_sums(sch, hist_u, hist_p)
     scalar_p = sys.dim_p == 1
 
-    rhs_fixed = (sys.load_p(t) - (sys.coupling.matvec(su)
-                                  + sys.storage.matvec(sp)) / tau)
+    rhs_fixed = sys.load_p(t) - (sys.coupling @ su + sys.storage @ sp) / tau
     f_now = sys.load_u(t)
     u_prev = hist_u.newest()
     p_prev = hist_p.newest()
@@ -321,16 +318,20 @@ def step_split(sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
     tol_sq = cfg.tol ** 2
 
     for i in range(1, cfg.max_inner + 1):
-        rhs_p = (rhs_fixed - (xi0 / tau) * sys.coupling.matvec(u_prev)
-                 + (xi0 / tau) * ell * (work.mass_p @ p_prev))
+        rhs_p = (rhs_fixed - (xi0 / tau) * (sys.coupling @ u_prev)
+                 + (xi0 / tau) * ell * (sys.norm_p @ p_prev))
         try:
             p_new = work.p_solve.solve(rhs_p)
-            u_new = work.a_solve.solve(sys.coupling.rmatvec(p_new) + f_now)
+            u_new = work.a_solve.solve(sys.coupling.T @ p_new + f_now)
         except linalg.LinalgError as exc:
             raise SolverFailure(f"inner solve failed: {exc}") from exc
         du = u_new - u_prev
         dp = p_new - p_prev
         value = termination_functional(cfg, sys, du, dp, tau, xi0, ell)
+        if not math.isfinite(value):
+            raise SolverFailure(
+                f"termination functional is {value} at t={t:g}, inner "
+                f"iteration {i}; the iterates are no longer finite")
         eps = math.sqrt(value)
         if eps_values:
             prev = eps_values[-1]
@@ -366,7 +367,7 @@ def step_implicit(sys: CoupledSystem, sch: BdfScheme, tau: float,
     su, sp = _history_sums(sch, hist_u, hist_p)
     rhs = np.concatenate([
         sys.load_u(t),
-        sys.load_p(t) - (sys.coupling.matvec(su) + sys.storage.matvec(sp)) / tau,
+        sys.load_p(t) - (sys.coupling @ su + sys.storage @ sp) / tau,
     ])
     try:
         z = work.block_solve().solve(rhs)
@@ -393,7 +394,7 @@ def _startup_states(sys: CoupledSystem, cfg: SplitConfig, k: int, tau: float,
         # consistency error, which the first step would amplify by 1/tau).
         a_solve = factorize(sys.elasticity)
         ps = [sys.exact_p(ell * tau) for ell in range(k)]
-        us = [a_solve.solve(sys.coupling.rmatvec(p) + sys.load_u(ell * tau))
+        us = [a_solve.solve(sys.coupling.T @ p + sys.load_u(ell * tau))
               for ell, p in enumerate(ps)]
         return us, ps
     # bootstrap: implicit steps of increasing order fill the history

@@ -11,9 +11,8 @@ elements, so that comparison is offered but not the default.
 from __future__ import annotations
 
 import math
-import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -306,7 +305,7 @@ class IterationResult:
 
 def iteration_study(order: int, omegas, gammas, taus, t_end: float = 1.0,
                     tol_scale_exponent: float = 2.9,
-                    error_measure: str = "combined", threads: int = 1,
+                    error_measure: str = "combined",
                     make_system: Optional[Callable] = None) -> IterationResult:
     """Mean inner iterations on the toy problem over an (omega, gamma, tau) grid.
 

@@ -16,13 +16,13 @@ modal decomposition and get attached as evaluators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
 
-from .linalg import DenseMatrix, DimensionMismatch, as_vector, factorize
+from .linalg import DimensionMismatch, as_array, as_vector, factorize
 
 __all__ = [
     "InvalidParameter",
@@ -60,6 +60,7 @@ class CoupledSystem:
     functions of time, so instances can be shared across threads.
     """
 
+    # Operators and norm matrices: numpy.ndarray or scipy.sparse matrices.
     elasticity: object          # SPD operator on the displacement space
     flow_stiffness: object      # positive semidefinite operator on pressures
     storage: object             # SPD storage operator on pressures
@@ -113,9 +114,9 @@ def residual_coupled(sys: CoupledSystem, u, p, du, dp,
         raise DimensionMismatch("displacement vector size mismatch")
     if p.size != sys.dim_p or dp.size != sys.dim_p:
         raise DimensionMismatch("pressure vector size mismatch")
-    r_u = sys.elasticity.matvec(u) - sys.coupling.rmatvec(p) - sys.load_u(t)
-    r_p = (sys.coupling.matvec(du) + sys.storage.matvec(dp)
-           + sys.flow_stiffness.matvec(p) - sys.load_p(t))
+    r_u = sys.elasticity @ u - sys.coupling.T @ p - sys.load_u(t)
+    r_p = (sys.coupling @ du + sys.storage @ dp
+           + sys.flow_stiffness @ p - sys.load_p(t))
     return r_u, r_p
 
 
@@ -147,12 +148,12 @@ def semidiscrete_solution(sys: CoupledSystem, shape: tuple[str, float]):
     """
     kind, par = shape
     a_lu = factorize(sys.elasticity)
-    d = sys.coupling.to_dense()
-    c = sys.storage.to_dense()
-    b = sys.flow_stiffness.to_dense()
+    d = sys.coupling
+    c = as_array(sys.storage)
+    b = as_array(sys.flow_stiffness)
     if not np.allclose(b, b.T, rtol=0, atol=1e-12 * max(np.abs(b).max(), 1e-300)):
         raise InvalidParameter("modal solution needs a symmetric flow operator")
-    m_hat = c + d @ np.linalg.solve(sys.elasticity.to_dense(), d.T)
+    m_hat = c + d @ a_lu.solve(as_array(d).T)
     lam, modes = scipy.linalg.eigh(b, m_hat)
     z0 = modes.T @ (m_hat @ sys.p0)
 
@@ -205,7 +206,7 @@ def semidiscrete_solution(sys: CoupledSystem, shape: tuple[str, float]):
         raise InvalidParameter(f"unknown source shape {kind!r}")
 
     def u_of_t(t: float) -> np.ndarray:
-        return a_lu.solve(sys.coupling.rmatvec(p_of_t(t)) + sys.load_u(t))
+        return a_lu.solve(sys.coupling.T @ p_of_t(t) + sys.load_u(t))
 
     return u_of_t, p_of_t
 
@@ -246,7 +247,7 @@ def exact_discrete_constants(sys: CoupledSystem) -> dict[str, float]:
     the elastic, flow and storage forms plus the sharp coupling bound.
     """
     def extremes(op, norm):
-        vals = scipy.linalg.eigh(op.to_dense(), norm.to_dense(),
+        vals = scipy.linalg.eigh(as_array(op), as_array(norm),
                                  eigvals_only=True)
         return float(vals[0]), float(vals[-1])
 
@@ -254,9 +255,9 @@ def exact_discrete_constants(sys: CoupledSystem) -> dict[str, float]:
     c_b, big_b = extremes(sys.flow_stiffness, sys.norm_p_grad)
     c_c, big_c = extremes(sys.storage, sys.norm_p)
     # sharp coupling bound: sup d(u,p) / (|u|_V |p|_H) via a generalized SVD
-    nu = scipy.linalg.cholesky(sys.norm_u.to_dense(), lower=False)
-    nh = scipy.linalg.cholesky(sys.norm_p.to_dense(), lower=False)
-    core = np.linalg.solve(nh.T, sys.coupling.to_dense()) @ np.linalg.inv(nu)
+    nu = scipy.linalg.cholesky(as_array(sys.norm_u), lower=False)
+    nh = scipy.linalg.cholesky(as_array(sys.norm_p), lower=False)
+    core = np.linalg.solve(nh.T, as_array(sys.coupling)) @ np.linalg.inv(nu)
     c_d = float(np.linalg.svd(core, compute_uv=False)[0])
     return {
         "elastic_coercivity": c_a, "elastic_continuity": big_a,
@@ -289,29 +290,28 @@ def make_toy(omega: float) -> CoupledSystem:
     if omega <= 0.0:
         raise InvalidParameter(f"omega must be positive, got {omega}")
     base = _TOY_BASE / (2.0 - math.sqrt(2.0))
-    elasticity = DenseMatrix(base)
-    coupling = DenseMatrix(math.sqrt(omega) * _TOY_ROW[None, :])
+    coupling = math.sqrt(omega) * _TOY_ROW[None, :]
     eig = np.linalg.eigvalsh(base)
 
     f_const = np.ones(3)
     p0 = np.zeros(1)
-    u0 = factorize(elasticity).solve(coupling.rmatvec(p0) + f_const)
+    u0 = factorize(base).solve(coupling.T @ p0 + f_const)
 
     sys = CoupledSystem(
-        elasticity=elasticity,
-        flow_stiffness=DenseMatrix([[1.0]]),
-        storage=DenseMatrix([[1.0]]),
+        elasticity=base,
+        flow_stiffness=np.array([[1.0]]),
+        storage=np.array([[1.0]]),
         coupling=coupling,
-        norm_u=DenseMatrix.identity(3),
-        norm_p_grad=DenseMatrix.identity(1),
-        norm_p=DenseMatrix.identity(1),
+        norm_u=np.eye(3),
+        norm_p_grad=np.eye(1),
+        norm_p=np.eye(1),
         elastic_coercivity=float(eig[0]),
         elastic_continuity=float(eig[-1]),
         flow_coercivity=1.0,
         flow_continuity=1.0,
         storage_coercivity=1.0,
         storage_continuity=1.0,
-        coupling_bound=float(np.linalg.norm(coupling.to_dense())),
+        coupling_bound=float(np.linalg.norm(coupling)),
         load_u=lambda t: f_const,
         load_p=lambda t: np.array([_TOY_FORCING * math.sin(t)]),
         u0=u0,
@@ -358,37 +358,35 @@ def make_network_toy(count: int, alphas, storage_moduli, mobilities,
     ex = np.diag(beta.sum(axis=1)) - beta
 
     base = _TOY_BASE / (2.0 - math.sqrt(2.0))
-    elasticity = DenseMatrix(np.kron(np.eye(count), base))
-    rows = np.zeros((count, 3 * count))
+    elasticity = np.kron(np.eye(count), base)
+    coupling = np.zeros((count, 3 * count))
     for i in range(count):
-        rows[i, 3 * i:3 * i + 3] = alphas[i] * _TOY_ROW
-    coupling = DenseMatrix(rows)
-    storage = DenseMatrix(np.diag(1.0 / moduli))
-    flow = DenseMatrix(np.diag(mob) + ex)
+        coupling[i, 3 * i:3 * i + 3] = alphas[i] * _TOY_ROW
+    storage = np.diag(1.0 / moduli)
+    flow = np.diag(mob) + ex
     eig_a = np.linalg.eigvalsh(base)
-    eig_b = np.linalg.eigvalsh(flow.to_dense())
+    eig_b = np.linalg.eigvalsh(flow)
 
     f_const = np.ones(3 * count)
     amp = _TOY_FORCING * np.ones(count)
     p0 = np.zeros(count)
-    u0 = factorize(elasticity).solve(coupling.rmatvec(p0) + f_const)
+    u0 = factorize(elasticity).solve(coupling.T @ p0 + f_const)
 
     sys = CoupledSystem(
         elasticity=elasticity,
         flow_stiffness=flow,
         storage=storage,
         coupling=coupling,
-        norm_u=DenseMatrix.identity(3 * count),
-        norm_p_grad=DenseMatrix.identity(count),
-        norm_p=DenseMatrix.identity(count),
+        norm_u=np.eye(3 * count),
+        norm_p_grad=np.eye(count),
+        norm_p=np.eye(count),
         elastic_coercivity=float(eig_a[0]),
         elastic_continuity=float(eig_a[-1]),
         flow_coercivity=float(eig_b[0]),
         flow_continuity=float(eig_b[-1]),
         storage_coercivity=float((1.0 / moduli).min()),
         storage_continuity=float((1.0 / moduli).max()),
-        coupling_bound=float(np.linalg.svd(coupling.to_dense(),
-                                           compute_uv=False)[0]),
+        coupling_bound=float(np.linalg.svd(coupling, compute_uv=False)[0]),
         load_u=lambda t: f_const,
         load_p=lambda t: amp * math.sin(t),
         u0=u0,

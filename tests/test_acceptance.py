@@ -15,7 +15,7 @@ import pytest
 
 from porosplit import fem2d, splitsolve as ss, stability, studies, system
 from porosplit.bdf import coefficients, exact_coefficients, scheme
-from porosplit.linalg import DenseMatrix, factorize, weighted_norm_sq
+from porosplit.linalg import factorize, weighted_norm_sq
 from porosplit.splitsolve import (SplitConfig, contraction_factor,
                                   default_stabilization, integrate,
                                   predict_iterations,
@@ -277,15 +277,14 @@ def test_criterion_09_fixed_point_consistency(biot8):
 
 
 def _single_network(alpha, modulus, mobility):
-    base = DenseMatrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0],
-                                 [0.0, -1.0, 2.0]]) / (2.0 - math.sqrt(2.0)))
-    coup = DenseMatrix(alpha * np.array([[2.0, 1.0, 2.0]]) / 3.0)
-    eig = np.linalg.eigvalsh(base.to_dense())
+    base = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0],
+                     [0.0, -1.0, 2.0]]) / (2.0 - math.sqrt(2.0))
+    coup = alpha * np.array([[2.0, 1.0, 2.0]]) / 3.0
+    eig = np.linalg.eigvalsh(base)
     return CoupledSystem(
-        elasticity=base, flow_stiffness=DenseMatrix([[mobility]]),
-        storage=DenseMatrix([[1.0 / modulus]]), coupling=coup,
-        norm_u=DenseMatrix.identity(3), norm_p_grad=DenseMatrix.identity(1),
-        norm_p=DenseMatrix.identity(1),
+        elasticity=base, flow_stiffness=np.array([[mobility]]),
+        storage=np.array([[1.0 / modulus]]), coupling=coup,
+        norm_u=np.eye(3), norm_p_grad=np.eye(1), norm_p=np.eye(1),
         elastic_coercivity=float(eig[0]),
         elastic_continuity=float(eig[-1]),
         flow_coercivity=mobility, flow_continuity=mobility,

@@ -7,7 +7,8 @@ import pytest
 from porosplit import bdf
 from porosplit.bdf import (BdfScheme, History, IncompleteHistory,
                            UnsupportedOrder, coefficients, derivative_defect,
-                           discrete_derivative, exact_coefficients, scheme)
+                           discrete_derivative, exact_coefficients,
+                           history_sum, scheme)
 from porosplit.linalg import DimensionMismatch
 
 TABLE = {
@@ -99,6 +100,28 @@ class TestHistory:
         h = History(2, [np.zeros(2)])
         with pytest.raises(DimensionMismatch):
             h.push(np.zeros(3))
+
+
+class TestHistorySum:
+    def test_hand_value_order3(self):
+        # newest-first y^{n-1}, y^{n-2}, y^{n-3} = 1, 2, 4
+        hist = History(3, [np.array([4.0]), np.array([2.0]), np.array([1.0])])
+        out = history_sum(scheme(3), hist)
+        np.testing.assert_allclose(out, [-3.0 * 1.0 + 1.5 * 2.0 - 4.0 / 3.0],
+                                   rtol=1e-15)
+
+    def test_incomplete_history(self):
+        with pytest.raises(IncompleteHistory):
+            history_sum(scheme(2), History(2, [np.ones(1)]))
+
+    def test_derivative_splits_into_leading_and_history_parts(self):
+        rng = np.random.default_rng(1)
+        sch = scheme(2)
+        ys = [rng.normal(size=3) for _ in range(3)]   # y^n, y^{n-1}, y^{n-2}
+        hist = History(2, ys[:0:-1])
+        out = discrete_derivative(sch, 0.5, ys[0], hist)
+        np.testing.assert_array_equal(
+            out, (sch.leading * ys[0] + history_sum(sch, hist)) / 0.5)
 
 
 class TestDiscreteDerivative:

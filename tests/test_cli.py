@@ -152,3 +152,58 @@ class TestMain:
                      str(tmp_path)]) == EXIT_OK
         header = (tmp_path / "iterations_1.csv").read_text().splitlines()[0]
         assert header == "k,omega,gamma,tau,L,mean_Jn"
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:           # argparse usage errors
+        return exc.code
+
+
+class TestProblemDispatch:
+    @pytest.mark.parametrize("argv, label", [
+        (["toy", "--tau", "2^-3"], "toy(omega=2)"),
+        (["biot2d", "--tau", "2^-3", "--n", "4"], "biot2d(n=4)"),
+        (["network", "--tau", "2^-3"], "network-toy(J=2)"),
+    ])
+    def test_single_run_uses_the_named_problem(self, argv, label, tmp_path,
+                                               capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"{label}: 8 split steps")
+
+    def test_threads_only_on_studies_that_use_it(self):
+        assert _exit_code(["iters", "--threads", "2", "--dry-run"]) == EXIT_USAGE
+        for sub in ("convergence", "balance"):
+            cfg = parse_config([sub, "--threads", "2"])
+            assert cfg.threads == 2
+
+
+class TestBadNumericInput:
+    @pytest.mark.parametrize("argv", [
+        ["toy", "--tau", "nan"],
+        ["toy", "--tau", "inf"],
+        ["toy", "--tau", "0"],
+        ["toy", "--tau", "-0.125"],
+        ["toy", "--tau", "0.3"],                  # does not divide T = 1
+        ["toy", "--tau", "2^-3", "--T", "nan"],
+        ["toy", "--tau", "2^-3", "--T", "0"],
+        ["toy", "--tau", "2^-3", "--tol", "nan"],
+        ["toy", "--tau", "2^-3", "--tol", "-1e-6"],
+        ["toy", "--tau", "2^-3", "--s", "inf"],
+        ["toy", "--tau", "2^-3", "--gamma", "nan"],
+        ["toy", "--tau", "2^-3", "--L", "nan"],
+        ["toy", "--tau", "2^-3", "--L", "-1"],
+        ["toy", "--tau", "2^-3", "--omega", "0"],
+        ["biot2d", "--tau", "2^-3", "--n", "1"],
+        ["iters", "--taus", "2^-3,nan"],
+        ["convergence", "--taus", "2^-3,-0.0625"],
+        ["toy", "--tau", "abc"],
+    ])
+    def test_fails_with_exit_code_and_no_traceback(self, argv, tmp_path,
+                                                   capsys):
+        code = _exit_code(argv + ["--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code in (EXIT_USAGE, EXIT_VALIDATION), err
+        assert "Traceback" not in err
+        assert err.strip()

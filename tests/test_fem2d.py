@@ -130,21 +130,21 @@ class TestAssembly:
         sys = assemble_biot(grid, params)
         mask = grid.interior_mask()
         expected = params.inv_m * _loop_mass_matrix(grid)[mask][:, mask]
-        np.testing.assert_allclose(sys.storage.to_dense(), expected,
+        np.testing.assert_allclose(sys.storage.toarray(), expected,
                                    rtol=1e-13, atol=1e-16)
 
     def test_blocks_symmetric(self, params):
         sys = assemble_biot(Grid2D(6), params)
         for name in ("elasticity", "flow_stiffness", "storage", "norm_u",
                      "norm_p_grad", "norm_p"):
-            m = getattr(sys, name).to_dense()
+            m = getattr(sys, name).toarray()
             scale = np.abs(m).max()
             assert np.abs(m - m.T).max() <= 1e-12 * scale, name
 
     def test_zero_alpha_decouples(self):
         prm = BiotParameters(alpha=1e-12)
         sys = assemble_biot(Grid2D(4), prm)
-        assert np.abs(sys.coupling.to_dense()).max() <= 1e-12
+        assert np.abs(sys.coupling.toarray()).max() <= 1e-12
 
     def test_rigid_translation_has_no_elastic_response(self, params):
         # constant displacement on an interior patch: rows of A at nodes whose
@@ -161,7 +161,7 @@ class TestAssembly:
         for idx in np.where(patch)[0]:
             u[mapping[idx]] = 1.0
             u[mapping[idx] + ni] = 1.0
-        out = sys.elasticity.matvec(u)
+        out = sys.elasticity @ u
         deep = (x >= 3 / n - 1e-12) & (x <= 5 / n + 1e-12) & \
                (y >= 3 / n - 1e-12) & (y <= 5 / n + 1e-12)
         for idx in np.where(deep)[0]:
@@ -170,7 +170,7 @@ class TestAssembly:
 
     def test_consistent_initial_data(self):
         sys = manufactured_system(8)
-        r_u = (sys.elasticity.matvec(sys.u0) - sys.coupling.rmatvec(sys.p0)
+        r_u = (sys.elasticity @ sys.u0 - sys.coupling.T @ sys.p0
                - sys.load_u(0.0))
         scale = max(np.abs(sys.load_u(0.0)).max(), 1.0)
         assert np.abs(r_u).max() <= 1e-10 * scale
@@ -185,7 +185,7 @@ class TestStationarySolve:
             grid = Grid2D(n)
             sys = assemble_biot(grid, params, solution)
             u_h = factorize(sys.elasticity).solve(
-                sys.coupling.rmatvec(sys.p0) + sys.load_u(0.0))
+                sys.coupling.T @ sys.p0 + sys.load_u(0.0))
             diff = u_h - interpolate(grid, solution.u, 0.0)
             errs.append(math.sqrt(weighted_norm_sq(sys.norm_u, diff)))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]

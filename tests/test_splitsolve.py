@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,8 @@ import pytest
 
 from porosplit import fem2d, splitsolve as ss
 from porosplit.bdf import History, scheme
-from porosplit.linalg import DenseMatrix, solve_dense, weighted_norm_sq
 from porosplit.splitsolve import (MaxInnerExceeded, NotScalarPressure,
-                                  SplitConfig, contraction_factor,
+                                  SolverFailure, SplitConfig, contraction_factor,
                                   default_stabilization, integrate,
                                   predict_iterations, step_implicit,
                                   step_split, stabilization_for_contraction,
@@ -154,6 +154,23 @@ class TestStepSplit:
         with pytest.raises(MaxInnerExceeded):
             step_split(toy, cfg, sch, 0.125, hu, hp, 0.125)
 
+    def test_non_finite_iterate_fails_at_once(self, toy):
+        bad = dataclasses.replace(toy, load_p=lambda t: np.array([math.nan]))
+        cfg = SplitConfig(tol=1e-6, stabilization=4.0)
+        hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
+        with pytest.raises(SolverFailure, match="inner iteration 1;"):
+            step_split(bad, cfg, scheme(1), 0.125, hu, hp, 0.125)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0},
+        {"tol": 1e-6, "stabilization": math.nan},
+        {"tol": 1e-6, "stabilization": math.inf},
+        {"tol": 1e-6, "gamma_target": math.nan},
+    ])
+    def test_config_rejects_non_finite_values(self, kwargs):
+        with pytest.raises(ValueError):
+            SplitConfig(**kwargs)
+
 
 class TestStepImplicit:
     def test_matches_hand_assembled_block_solve(self, toy):
@@ -161,8 +178,8 @@ class TestStepImplicit:
         tau = 0.125
         hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
         u, p = step_implicit(toy, sch, tau, hu, hp, tau)
-        a = toy.elasticity.to_dense()
-        d = toy.coupling.to_dense()
+        a = toy.elasticity
+        d = toy.coupling
         block = np.zeros((4, 4))
         block[:3, :3] = a
         block[:3, 3:] = -d.T
@@ -186,11 +203,11 @@ class TestStepImplicit:
         xi = sch.coeffs
         su = xi[1] * seeds[0][1] + xi[2] * seeds[0][0]
         sp = xi[1] * seeds[1][1] + xi[2] * seeds[1][0]
-        r_u = (biot8.elasticity.matvec(u) - biot8.coupling.rmatvec(p)
+        r_u = (biot8.elasticity @ u - biot8.coupling.T @ p
                - biot8.load_u(2 * tau))
-        r_p = (biot8.coupling.matvec((xi[0] * u + su) / tau)
-               + biot8.storage.matvec((xi[0] * p + sp) / tau)
-               + biot8.flow_stiffness.matvec(p) - biot8.load_p(2 * tau))
+        r_p = (biot8.coupling @ ((xi[0] * u + su) / tau)
+               + biot8.storage @ ((xi[0] * p + sp) / tau)
+               + biot8.flow_stiffness @ p - biot8.load_p(2 * tau))
         scale = max(np.abs(biot8.load_u(2 * tau)).max(),
                     np.abs(biot8.load_p(2 * tau)).max())
         assert np.abs(r_u).max() <= 1e-10 * scale
@@ -201,8 +218,8 @@ class TestStepImplicit:
         toy = make_toy(2.0)
         u_star = np.array([0.3, -0.2, 0.5])
         p_star = np.array([0.7])
-        f_star = toy.elasticity.matvec(u_star) - toy.coupling.rmatvec(p_star)
-        g_star = toy.flow_stiffness.matvec(p_star)
+        f_star = toy.elasticity @ u_star - toy.coupling.T @ p_star
+        g_star = toy.flow_stiffness @ p_star
         stat = CoupledSystem(
             elasticity=toy.elasticity, flow_stiffness=toy.flow_stiffness,
             storage=toy.storage, coupling=toy.coupling, norm_u=toy.norm_u,
