@@ -1,5 +1,18 @@
 """Command-line front end: single runs, studies, stability certificates.
 
+Every option a run reads is one row of ``OPTIONS``. The row's name is
+both the ``--flag`` and the config-file key, and the row gives the
+``RunConfig`` field, the one parser applied to flag and config-file
+values alike, the subcommands that read the option and any
+per-subcommand default. A subcommand registers only the options it
+reads; any other flag or config-file key is a usage error. ``--config``
+and ``--dry-run``, which control the invocation itself, are the only
+flags outside the table. Each value resolves as
+
+    field default < subcommand default < config file < flag,
+
+each source overriding the ones before it.
+
 Exit codes: 0 success, 2 usage errors, 3 configuration validation errors,
 4 numerical/solver failures, 5 I/O failures. Outputs are written
 atomically (temp file + rename) into the output directory resolved from
@@ -16,7 +29,7 @@ import sys as _sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,8 +47,12 @@ class ValidationError(Exception):
     """Configuration violates an invariant (bad ranges, exclusive flags)."""
 
 
-class UsageError(Exception):
-    """Malformed invocation or config file (unknown keys, bad syntax)."""
+class UsageError(argparse.ArgumentTypeError):
+    """Malformed invocation or config file (unknown keys, bad syntax).
+
+    An ``argparse.ArgumentTypeError``, so a parser that raises it on a
+    flag value makes argparse report the flag and exit 2.
+    """
 
 
 def _parse_float_token(tok: str) -> float:
@@ -50,8 +67,122 @@ def _parse_float_token(tok: str) -> float:
         raise UsageError(f"cannot parse number {tok!r}") from exc
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [_parse_float_token(t) for t in text.split(",") if t.strip()]
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise UsageError(f"expected an integer, got {text!r}") from exc
+
+
+def _list_of(parse_item: Callable[[str], object]) -> Callable[[str], list]:
+    """Parser of a comma-separated, non-empty list."""
+    def parse(text: str) -> list:
+        items = [parse_item(t) for t in text.split(",") if t.strip()]
+        if not items:
+            raise UsageError(f"expected a comma-separated list, got {text!r}")
+        return items
+    return parse
+
+
+_parse_floats = _list_of(_parse_float_token)
+
+
+def _parse_exchange(text: str) -> tuple[tuple[int, int], float]:
+    """'I,J=RATE' -> ((I, J), RATE)."""
+    m = re.fullmatch(r"\s*(\d+)\s*,\s*(\d+)\s*=\s*(\S+)", text)
+    if not m:
+        raise UsageError(f"expected I,J=RATE, got {text!r}")
+    return (int(m.group(1)), int(m.group(2))), _parse_float_token(m.group(3))
+
+
+def _one_of(*choices: str) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise UsageError(
+                f"expected one of {', '.join(choices)}, got {text!r}")
+        return text
+    return parse
+
+
+SUBCOMMANDS = {
+    "toy": "single split run of the scalar toy problem",
+    "biot2d": "single split run of the 2D problem",
+    "network": "single split run of the network toy",
+    "convergence": "temporal-order study",
+    "balance": "tolerance-balancing study",
+    "iters": "iteration-count study on the toy",
+    "stability": "multiplier certificates and identity",
+}
+
+_SINGLE = ("toy", "biot2d", "network")
+
+
+@dataclass(frozen=True)
+class Option:
+    """One row of the option table: ``--name`` on the command line and
+    ``name = value`` in a config file."""
+
+    name: str
+    dest: str                     # RunConfig field
+    parse: Callable[[str], object]
+    readers: tuple[str, ...]      # the subcommands that read it
+    help: str = ""
+    defaults: dict = field(default_factory=dict)  # subcommand -> default
+    default_unless: str = ""      # a default gives way when this field is set
+    repeat: bool = False          # repeatable; the values collect in a list
+
+
+_STUDY_TAUS = [2.0 ** -e for e in range(3, 8)]
+
+OPTIONS = (
+    Option("out", "out_dir", str, tuple(SUBCOMMANDS), "output directory"),
+    Option("k", "order", _parse_int, _SINGLE + ("convergence", "balance"),
+           "BDF order (1..5)"),
+    Option("ks", "orders", _list_of(_parse_int), ("iters",), "BDF orders"),
+    Option("tau", "tau", _parse_float_token, _SINGLE,
+           "time step (accepts 2^-6)"),
+    Option("taus", "taus", _parse_floats,
+           ("convergence", "balance", "iters"), "time steps, each half the last",
+           defaults={"convergence": _STUDY_TAUS, "balance": _STUDY_TAUS,
+                     "iters": [2.0 ** -e for e in range(3, 9)]}),
+    Option("T", "t_end", _parse_float_token,
+           _SINGLE + ("convergence", "balance", "iters"), "final time"),
+    Option("tol", "tol", _parse_float_token, _SINGLE,
+           "absolute inner tolerance"),
+    Option("s", "tol_exponent", _parse_float_token, _SINGLE + ("convergence",),
+           "tolerance exponent: tol = tau**s (default k + 3/2)"),
+    Option("gamma", "gamma", _parse_float_token, _SINGLE,
+           "target contraction factor",
+           defaults={"toy": 0.5, "biot2d": 0.4, "network": 0.4},
+           default_unless="stabilization"),
+    Option("L", "stabilization", _parse_float_token, _SINGLE,
+           "explicit stabilization parameter, in place of gamma"),
+    Option("gammas", "gammas", _parse_floats, ("iters",),
+           "target contraction factors"),
+    Option("omega", "omega", _parse_float_token, ("toy", "convergence"),
+           "coupling strength of the toy"),
+    Option("omegas", "omegas", _parse_floats, ("iters",),
+           "coupling strengths of the toy"),
+    Option("problem", "problem", _one_of("toy", "biot2d"), ("convergence",),
+           "problem to study", defaults={"convergence": "biot2d"}),
+    Option("reference", "reference", _one_of("fine-implicit", "analytic"),
+           ("convergence",), "what errors are measured against"),
+    Option("n", "grid_n", _parse_int, ("biot2d", "convergence", "balance"),
+           "grid cells per side"),
+    Option("networks", "networks", _parse_int, ("network",),
+           "number of pressure networks"),
+    Option("alphas", "alphas", _parse_floats, ("network",),
+           "coupling coefficients alpha_i"),
+    Option("moduli", "moduli", _parse_floats, ("network",),
+           "storage moduli M_i"),
+    Option("mobilities", "mobilities", _parse_floats, ("network",),
+           "mobilities of the networks"),
+    Option("beta", "exchange", _parse_exchange, ("network",),
+           "exchange rate I,J=RATE between networks I and J (repeatable)",
+           repeat=True),
+    Option("seed", "seed", _parse_int, ("stability",),
+           "seed of the identity check's random trials"),
+)
 
 
 @dataclass
@@ -59,7 +190,7 @@ class RunConfig:
     """Resolved options of one CLI invocation."""
 
     subcommand: str
-    problem: str = "toy"
+    problem: Optional[str] = None
     order: int = 1
     tau: Optional[float] = None
     taus: Optional[list[float]] = None
@@ -77,10 +208,9 @@ class RunConfig:
     alphas: list[float] = field(default_factory=lambda: [0.4, 0.2])
     moduli: list[float] = field(default_factory=lambda: [1.0, 1.0])
     mobilities: list[float] = field(default_factory=lambda: [1.0, 1.0])
-    exchange: dict = field(default_factory=dict)
+    exchange: list = field(default_factory=list)   # ((i, j), rate) pairs
     out_dir: Optional[str] = None
     seed: int = 0
-    threads: int = 1
     dry_run: bool = False
     reference: str = "fine-implicit"
 
@@ -126,27 +256,23 @@ class RunConfig:
         return Path(env) if env else Path("porosplit-out")
 
     def summary(self) -> str:
-        pairs = []
-        for name, value in vars(self).items():
-            if value is None or name == "subcommand":
-                continue
-            pairs.append(f"  {name} = {value}")
-        return f"porosplit {self.subcommand}\n" + "\n".join(pairs)
+        """The options the subcommand reads, as resolved."""
+        lines = [f"porosplit {self.subcommand}"]
+        for opt in OPTIONS:
+            value = getattr(self, opt.dest)
+            if self.subcommand in opt.readers and value is not None:
+                lines.append(f"  {opt.name} = {value}")
+        return "\n".join(lines)
 
 
-_CONFIG_KEYS = {
-    "problem", "k", "tau", "taus", "T", "tol", "s", "gamma", "L", "omega",
-    "omegas", "gammas", "ks", "n", "networks", "alphas", "moduli",
-    "mobilities", "out", "seed", "threads", "reference",
-}
-
-
-def _read_config_file(path: str) -> dict:
-    values = {}
+def _read_config_file(path: str, subcommand: str) -> dict:
+    """Parsed ``key = value`` lines of a config file, by RunConfig field."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    options = {opt.name: opt for opt in OPTIONS if subcommand in opt.readers}
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -154,39 +280,19 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value
+        opt = options.get(key)
+        if opt is None:
+            raise UsageError(f"{path}:{lineno}: porosplit {subcommand} "
+                             f"reads no option {key!r}")
+        try:
+            parsed = opt.parse(value)
+        except UsageError as exc:
+            raise UsageError(f"{path}:{lineno}: {key}: {exc}") from exc
+        if opt.repeat:
+            values.setdefault(opt.dest, []).append(parsed)
+        else:
+            values[opt.dest] = parsed
     return values
-
-
-def _apply_config_values(cfg: RunConfig, values: dict) -> None:
-    scalar_float = {"tau": "tau", "T": "t_end", "tol": "tol", "s": "tol_exponent",
-                    "gamma": "gamma", "L": "stabilization", "omega": "omega"}
-    for key, value in values.items():
-        if key in scalar_float:
-            setattr(cfg, scalar_float[key], _parse_float_token(value))
-        elif key == "k":
-            cfg.order = int(value)
-        elif key == "ks":
-            cfg.orders = [int(v) for v in value.split(",")]
-        elif key == "n":
-            cfg.grid_n = int(value)
-        elif key == "networks":
-            cfg.networks = int(value)
-        elif key in ("taus", "omegas", "gammas", "alphas", "moduli",
-                     "mobilities"):
-            setattr(cfg, key, _parse_float_list(value))
-        elif key == "out":
-            cfg.out_dir = value
-        elif key == "seed":
-            cfg.seed = int(value)
-        elif key == "threads":
-            cfg.threads = int(value)
-        elif key == "problem":
-            cfg.problem = value
-        elif key == "reference":
-            cfg.reference = value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -197,141 +303,40 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="Exit codes: 0 ok, 2 usage, 3 validation, 4 numerical, 5 I/O.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
+    for name, help_text in SUBCOMMANDS.items():
+        # SUPPRESS: an omitted flag leaves no attribute, so it cannot
+        # override a default or a config-file value. No abbreviations:
+        # --k must not pass for --ks on a subcommand that lacks --k.
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False,
+                           argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="key = value file; flags override it")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--dry-run", action="store_true",
-                       help="print the resolved configuration and exit")
-
-    # argparse defaults stay None so config-file values are not clobbered;
-    # the RunConfig field defaults are the real fallbacks
-    def run_opts(p, with_omega=True):
-        p.add_argument("--k", type=int, help="BDF order (1..5)")
-        p.add_argument("--tau", type=str, help="time step (accepts 2^-6)")
-        p.add_argument("--T", type=str, help="final time (default 1)")
-        p.add_argument("--tol", type=str, help="absolute inner tolerance")
-        p.add_argument("--s", type=str, dest="tol_exponent",
-                       help="tolerance exponent: tol = tau**s")
-        p.add_argument("--gamma", type=str, help="target contraction factor")
-        p.add_argument("--L", type=str, dest="stabilization",
-                       help="explicit stabilization parameter")
-        if with_omega:
-            p.add_argument("--omega", type=str,
-                           help="coupling strength (default 2)")
-
-    p = sub.add_parser("toy", help="single split run of the scalar toy problem")
-    common(p)
-    run_opts(p)
-
-    p = sub.add_parser("biot2d", help="single split run of the 2D problem")
-    common(p)
-    run_opts(p, with_omega=False)
-    p.add_argument("--n", type=int, help="grid cells per side (default 16)")
-
-    p = sub.add_parser("network", help="single split run of the network toy")
-    common(p)
-    run_opts(p, with_omega=False)
-    p.add_argument("--networks", type=int)
-    p.add_argument("--alphas", type=str)
-    p.add_argument("--moduli", type=str, help="storage moduli M_i")
-    p.add_argument("--mobilities", type=str)
-    p.add_argument("--beta", action="append", default=[],
-                   metavar="I,J=RATE", help="exchange rate (repeatable)")
-
-    def threads_opt(p):
-        p.add_argument("--threads", type=int,
-                       help="worker threads for the study cells (default 1)")
-
-    p = sub.add_parser("convergence", help="temporal-order study")
-    common(p)
-    threads_opt(p)
-    p.add_argument("--k", type=int)
-    p.add_argument("--taus", type=str)
-    p.add_argument("--s", type=str, dest="tol_exponent")
-    p.add_argument("--T", type=str)
-    p.add_argument("--problem", choices=("toy", "biot2d"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--omega", type=str)
-    p.add_argument("--reference", choices=("fine-implicit", "analytic"))
-
-    p = sub.add_parser("balance", help="tolerance-balancing study")
-    common(p)
-    threads_opt(p)
-    p.add_argument("--k", type=int)
-    p.add_argument("--taus", type=str)
-    p.add_argument("--T", type=str)
-    p.add_argument("--n", type=int)
-
-    p = sub.add_parser("iters", help="iteration-count study on the toy")
-    common(p)
-    p.add_argument("--ks", type=str)
-    p.add_argument("--omegas", type=str)
-    p.add_argument("--gammas", type=str)
-    p.add_argument("--taus", type=str)
-    p.add_argument("--T", type=str)
-
-    p = sub.add_parser("stability", help="multiplier certificates and identity")
-    common(p)
-
+                       help="print the resolved options and exit")
+        base = RunConfig(subcommand=name)
+        for opt in OPTIONS:
+            if name not in opt.readers:
+                continue
+            default = opt.defaults.get(name, getattr(base, opt.dest))
+            p.add_argument(f"--{opt.name}", dest=opt.dest, type=opt.parse,
+                           action="append" if opt.repeat else "store",
+                           help=opt.help if default in (None, [])
+                           else f"{opt.help} (default {default})")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    if args.subcommand == "convergence":
-        cfg.problem = "biot2d"
-    if getattr(args, "config", None):
-        _apply_config_values(cfg, _read_config_file(args.config))
-
-    def take_float(name, attr=None):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, attr or name, _parse_float_token(value))
-
-    if getattr(args, "k", None) is not None:
-        cfg.order = args.k
-    take_float("tau")
-    take_float("T", "t_end")
-    take_float("tol")
-    take_float("tol_exponent")
-    take_float("gamma")
-    take_float("stabilization")
-    take_float("omega")
-    for name in ("taus", "omegas", "gammas", "alphas", "moduli", "mobilities"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, _parse_float_list(value))
-    if getattr(args, "ks", None) is not None:
-        cfg.orders = [int(v) for v in args.ks.split(",")]
-    if getattr(args, "n", None) is not None:
-        cfg.grid_n = args.n
-    if getattr(args, "networks", None) is not None:
-        cfg.networks = args.networks
-    for spec_str in getattr(args, "beta", []) or []:
-        m = re.fullmatch(r"\s*(\d+)\s*,\s*(\d+)\s*=\s*(\S+)", spec_str)
-        if not m:
-            raise UsageError(f"bad --beta value {spec_str!r}, expected I,J=RATE")
-        cfg.exchange[(int(m.group(1)), int(m.group(2)))] = float(m.group(3))
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    if getattr(args, "problem", None):
-        cfg.problem = args.problem
-    if getattr(args, "reference", None):
-        cfg.reference = args.reference
-    cfg.seed = getattr(args, "seed", 0)
-    if getattr(args, "threads", None) is not None:
-        cfg.threads = args.threads
-    cfg.dry_run = getattr(args, "dry_run", False)
-    cfg.validate()
-    return cfg
 
 
 def parse_config(argv) -> RunConfig:
     """Parse argv (plus optional config file) into a validated RunConfig."""
-    args = _build_parser().parse_args(argv)
-    return _config_from_args(args)
+    args = vars(_build_parser().parse_args(argv))
+    sub = args.pop("subcommand")
+    config = args.pop("config", None)
+    given = _read_config_file(config, sub) if config else {}
+    given.update(args)
+    values = {opt.dest: opt.defaults[sub] for opt in OPTIONS
+              if sub in opt.defaults and opt.default_unless not in given}
+    values.update(given)
+    cfg = RunConfig(subcommand=sub, **values)
+    cfg.validate()
+    return cfg
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -359,7 +364,7 @@ def _steps_csv(traj: splitsolve.Trajectory) -> str:
 
 def _build_single_system(cfg: RunConfig):
     """The system the subcommand names; ``convergence`` names it by --problem."""
-    problem = cfg.problem if cfg.subcommand == "convergence" else cfg.subcommand
+    problem = cfg.problem or cfg.subcommand
     if problem == "toy":
         return system.make_toy(cfg.omega)
     if problem == "biot2d":
@@ -389,14 +394,9 @@ def _run_single(cfg: RunConfig) -> int:
     sys_obj = _build_single_system(cfg)
     if cfg.tau is None:
         raise ValidationError("--tau is required for single runs")
-    if cfg.gamma is None and cfg.stabilization is None and sys_obj.dim_p == 1:
-        cfg.gamma = 0.5
     sch = make_scheme(cfg.order)
-    split_cfg = _split_config(cfg, cfg.tau)
-    if cfg.gamma is None and cfg.stabilization is None:
-        split_cfg.gamma_target = 0.4
-    traj = splitsolve.integrate(sys_obj, split_cfg, sch, cfg.tau, cfg.t_end,
-                                mode="split")
+    traj = splitsolve.integrate(sys_obj, _split_config(cfg, cfg.tau), sch,
+                                cfg.tau, cfg.t_end, mode="split")
     out = cfg.resolved_out()
     _write_atomic(out / f"{cfg.subcommand}_steps_{cfg.order}.csv",
                   _steps_csv(traj))
@@ -412,12 +412,11 @@ def _run_single(cfg: RunConfig) -> int:
 
 def _run_convergence(cfg: RunConfig) -> int:
     sys_obj = _build_single_system(cfg)
-    taus = cfg.taus or [2.0 ** -e for e in range(3, 8)]
     exponent = cfg.tol_exponent if cfg.tol_exponent is not None \
         else cfg.order + 1.5
     result = studies.convergence_study(
-        sys_obj, cfg.order, taus, tol_exponent=exponent,
-        reference=cfg.reference, t_end=cfg.t_end, threads=cfg.threads)
+        sys_obj, cfg.order, cfg.taus, tol_exponent=exponent,
+        reference=cfg.reference, t_end=cfg.t_end)
     out = cfg.resolved_out()
     path = out / f"convergence_{cfg.order}.csv"
     _write_atomic(path, result.report.to_csv())
@@ -431,13 +430,11 @@ def _run_convergence(cfg: RunConfig) -> int:
 def _run_balance(cfg: RunConfig) -> int:
     sys_obj = fem2d.manufactured_system(cfg.grid_n)
     k = cfg.order
-    taus = cfg.taus or [2.0 ** -e for e in range(3, 8)]
     exponents = [k, k + 0.5, k + 1.0, k + 1.5, k + 2.0]
-    result = studies.balancing_study(sys_obj, k, taus, exponents,
-                                     t_end=cfg.t_end, threads=cfg.threads)
-    avg = studies.average_iteration_table(sys_obj, k, taus,
-                                          t_end=cfg.t_end,
-                                          threads=cfg.threads)
+    result = studies.balancing_study(sys_obj, k, cfg.taus, exponents,
+                                     t_end=cfg.t_end)
+    avg = studies.average_iteration_table(sys_obj, k, cfg.taus,
+                                          t_end=cfg.t_end)
     out = cfg.resolved_out()
     path = out / f"balancing_{k}.csv"
     _write_atomic(path, result.report.to_csv())
@@ -453,9 +450,8 @@ def _run_balance(cfg: RunConfig) -> int:
 
 def _run_iters(cfg: RunConfig) -> int:
     out = cfg.resolved_out()
-    taus = cfg.taus or [2.0 ** -e for e in range(3, 9)]
     for k in cfg.orders:
-        result = studies.iteration_study(k, cfg.omegas, cfg.gammas, taus,
+        result = studies.iteration_study(k, cfg.omegas, cfg.gammas, cfg.taus,
                                          t_end=cfg.t_end)
         path = out / f"iterations_{k}.csv"
         _write_atomic(path, result.report.to_csv())
@@ -463,7 +459,7 @@ def _run_iters(cfg: RunConfig) -> int:
         for omega in cfg.omegas:
             for gamma in cfg.gammas:
                 row = [result.cells[(omega, gamma, tau)]["rounded"]
-                       for tau in taus]
+                       for tau in cfg.taus]
                 print(f"  omega={omega:g} gamma={gamma:g}: {row}")
         print(f"wrote {path}")
     return EXIT_OK

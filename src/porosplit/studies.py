@@ -11,7 +11,6 @@ elements, so that comparison is offered but not the default.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -104,13 +103,6 @@ class StudyReport:
         return "\n".join(lines) + "\n"
 
 
-def _map_cells(fn, keys, threads: int):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return dict(zip(keys, pool.map(fn, keys)))
-    return {key: fn(key) for key in keys}
-
-
 def _seed_history(sys: CoupledSystem, k: int, tau: float):
     """Histories on the discretized system's own flow when available."""
     u_eval = sys.semidiscrete_u or sys.exact_u
@@ -167,8 +159,8 @@ class ConvergenceResult:
 def convergence_study(sys: CoupledSystem, order: int, taus, tol_exponent=None,
                       fixed_tol: Optional[float] = None,
                       reference: str = "fine-implicit", t_end: float = 1.0,
-                      t_start: float = 0.0, gamma_target: float = 0.4,
-                      threads: int = 1) -> ConvergenceResult:
+                      t_start: float = 0.0, gamma_target: float = 0.4
+                      ) -> ConvergenceResult:
     """Split-integration errors under tau-halving, with observed orders.
 
     Tolerance per run is ``tau ** tol_exponent`` unless ``fixed_tol`` is
@@ -200,8 +192,7 @@ def convergence_study(sys: CoupledSystem, order: int, taus, tol_exponent=None,
     else:
         raise ValueError(f"unknown reference {reference!r}")
 
-    def run_cell(cell):
-        tau, mode = cell
+    def run_cell(tau, mode):
         tol = fixed_tol if fixed_tol is not None else tau ** tol_exponent
         cfg = SplitConfig(tol=tol, gamma_target=gamma_target, startup="exact")
         traj = integrate(sys, cfg, sch, tau, t_end, mode=mode,
@@ -210,9 +201,8 @@ def convergence_study(sys: CoupledSystem, order: int, taus, tol_exponent=None,
         return ErrorRecord(tau=tau, order=k, tol=tol, err_u=err_u,
                            err_p=err_p, mode=mode)
 
-    cells = [(tau, mode) for tau in taus for mode in ("split", "implicit")]
-    results = _map_cells(run_cell, cells, threads)
-    records = [results[c] for c in cells]
+    records = [run_cell(tau, mode) for tau in taus
+               for mode in ("split", "implicit")]
     split_recs = [r for r in records if r.mode == "split"]
     eoc = EocTable(taus=[r.tau for r in split_recs],
                    errors=[r.combined for r in split_recs])
@@ -234,8 +224,8 @@ class BalancingResult:
 
 def balancing_study(sys: CoupledSystem, order: int, taus, exponents,
                     t_end: float = 1.0, t_start: float = 0.0,
-                    factor: float = 2.0, gamma_target: float = 0.4,
-                    threads: int = 1) -> BalancingResult:
+                    factor: float = 2.0, gamma_target: float = 0.4
+                    ) -> BalancingResult:
     """Error versus tolerance-exponent sweep against the implicit baseline.
 
     For each tau the implicit same-tau error is recorded; each split run
@@ -262,22 +252,11 @@ def balancing_study(sys: CoupledSystem, order: int, taus, exponents,
                          initial_history=_seed_history(sys, k, tau))
         err_u, err_p = _errors_vs_reference(traj, sys, ref, start=k)
         return ErrorRecord(tau=tau, order=k, tol=tol, err_u=err_u,
-                           err_p=err_p, mode=mode), traj
+                           err_p=err_p, mode=mode)
 
-    implicit_errors = {}
-    for tau in taus:
-        rec, _ = run(tau, "implicit", 1.0)
-        implicit_errors[tau] = rec.combined
-
-    def cell(key):
-        tau, s = key
-        rec, traj = run(tau, "split", tau ** s)
-        return rec, traj.mean_inner()
-
-    keys = [(tau, s) for tau in taus for s in exponents]
-    results = _map_cells(cell, keys, threads)
-    records = {key: results[key][0] for key in keys}
-    mean_inner = {key: results[key][1] for key in keys}
+    implicit_errors = {tau: run(tau, "implicit", 1.0).combined for tau in taus}
+    records = {(tau, s): run(tau, "split", tau ** s)
+               for tau in taus for s in exponents}
 
     balanced_ok = {
         tau: records[(tau, balanced_s)].combined
@@ -289,11 +268,9 @@ def balancing_study(sys: CoupledSystem, order: int, taus, exponents,
         rows=[(k, tau, s, records[(tau, s)].combined, implicit_errors[tau])
               for tau in taus for s in exponents],
     )
-    result = BalancingResult(order=k, records=records,
-                             implicit_errors=implicit_errors,
-                             balanced_ok=balanced_ok, report=report)
-    result.mean_inner = mean_inner
-    return result
+    return BalancingResult(order=k, records=records,
+                           implicit_errors=implicit_errors,
+                           balanced_ok=balanced_ok, report=report)
 
 
 @dataclass
@@ -304,22 +281,18 @@ class IterationResult:
 
 
 def iteration_study(order: int, omegas, gammas, taus, t_end: float = 1.0,
-                    tol_scale_exponent: float = 2.9,
-                    error_measure: str = "combined",
                     make_system: Optional[Callable] = None) -> IterationResult:
     """Mean inner iterations on the toy problem over an (omega, gamma, tau) grid.
 
     Per cell the stabilization realizes the prescribed contraction factor
     exactly. Every cell takes its tolerance from one rule,
 
-        tol = E_k(tau) * tau ** tol_scale_exponent,
+        tol = E_k(tau) * tau ** 2.9,
 
-    where E_k(tau) is the error of the implicit BDF-k run with the same
-    step against the exact solution, as a maximum over the steps n >= k.
-    ``error_measure`` picks what that error is: the pressure error
-    max |e_p|_H, or the combined error max |e_u|_V + max |e_p|_H (the
-    default; ``ErrorRecord.combined``, which ``balancing_study`` holds
-    split runs to).
+    where E_k(tau) is the combined error max |e_u|_V + max |e_p|_H of the
+    implicit BDF-k run with the same step against the exact solution,
+    maxima over the steps n >= k (``ErrorRecord.combined``, which
+    ``balancing_study`` holds split runs to).
 
     Derived: the anchor. The balancing argument keeps a split run at the
     implicit accuracy once the inner iteration stops below the implicit
@@ -328,17 +301,15 @@ def iteration_study(order: int, omegas, gammas, taus, t_end: float = 1.0,
     a constant of its own. Calibrated: the exponent 2.9, the one constant
     fitted to the reference iteration-count table of criterion 05. With the
     combined measure every exponent in [2.79, 2.98] keeps all 48 cells of
-    that table within +-2, and 2.9 sits in the middle; the pressure
-    measure needs [2.60, 2.74] instead. Exponent 1.5, the balanced tolerance
-    tau^(k+3/2) on its own, makes the counts grow by only about k + 1/2
-    per halving of tau at gamma = 1/2, and no constant factor fits the
-    table with it. The rule leaves the gamma = 0.1 rows about one sweep
-    below the table.
+    that table within +-2, and 2.9 sits in the middle. (Measured with the
+    pressure error max |e_p|_H alone, the window is [2.60, 2.74].)
+    Exponent 1.5, the balanced tolerance tau^(k+3/2) on its own, makes
+    the counts grow by only about k + 1/2 per halving of tau at
+    gamma = 1/2, and no constant factor fits the table with it. The rule
+    leaves the gamma = 0.1 rows about one sweep below the table.
     """
     from .system import make_toy
 
-    if error_measure not in ("pressure", "combined"):
-        raise ValueError(f"unknown error measure {error_measure!r}")
     build = make_system or make_toy
     k = order
     sch = make_scheme(k)
@@ -348,8 +319,7 @@ def iteration_study(order: int, omegas, gammas, taus, t_end: float = 1.0,
         traj = integrate(sys, cfg, sch, tau, t_end, mode="implicit")
         err_u, err_p = _errors_vs_evaluators(traj, sys, sys.exact_u,
                                              sys.exact_p, start=k)
-        level = err_u + err_p if error_measure == "combined" else err_p
-        return level * tau ** tol_scale_exponent
+        return (err_u + err_p) * tau ** 2.9
 
     cells = {}
     for omega in omegas:
@@ -398,7 +368,7 @@ class AverageIterationResult:
 
 def average_iteration_table(sys: CoupledSystem, order: int, taus,
                             exponents=None, t_end: float = 1.0,
-                            gamma_target: float = 0.4, threads: int = 1
+                            gamma_target: float = 0.4
                             ) -> AverageIterationResult:
     """Mean inner iterations per (tolerance exponent, tau) cell."""
     k = order
@@ -406,16 +376,14 @@ def average_iteration_table(sys: CoupledSystem, order: int, taus,
     if exponents is None:
         exponents = (k + 1.0, k + 1.5, k + 2.0)
 
-    def cell(key):
-        s, tau = key
+    def cell(s, tau):
         cfg = SplitConfig(tol=tau ** s, gamma_target=gamma_target,
                           startup="exact" if sys.exact_u else "bootstrap")
         traj = integrate(sys, cfg, sch, tau, t_end, mode="split",
                          initial_history=_seed_history(sys, k, tau))
         return traj.mean_inner()
 
-    keys = [(s, tau) for s in exponents for tau in taus]
-    cells = _map_cells(cell, keys, threads)
+    cells = {(s, tau): cell(s, tau) for s in exponents for tau in taus}
     report = StudyReport(
         columns=CSV_SCHEMAS["iteration_averages"],
         rows=[(k, tau, s, cells[(s, tau)]) for s in exponents for tau in taus],

@@ -344,15 +344,19 @@ def make_network_toy(count: int, alphas, storage_moduli, mobilities,
     mob = np.asarray(mobilities, dtype=float)
     if not (alphas.shape == moduli.shape == mob.shape == (count,)):
         raise InvalidParameter("need one alpha/modulus/mobility per network")
-    if np.any(alphas <= 0) or np.any(moduli <= 0) or np.any(mob <= 0):
-        raise InvalidParameter("physical parameters must be positive")
+    for name, values in (("alphas", alphas), ("storage moduli", moduli),
+                         ("mobilities", mob)):
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise InvalidParameter(
+                f"{name} must be finite and positive, got {values.tolist()}")
 
     beta = np.zeros((count, count))
     for (i, j), rate in dict(exchange).items():
         if i == j or not (0 <= i < count and 0 <= j < count):
             raise InvalidParameter(f"bad exchange pair {(i, j)}")
-        if rate < 0:
-            raise InvalidParameter("exchange rates must be nonnegative")
+        if not (math.isfinite(rate) and rate >= 0):
+            raise InvalidParameter(f"exchange rate of pair {(i, j)} must "
+                                   f"be finite and nonnegative, got {rate}")
         beta[i, j] = rate
         beta[j, i] = rate
     ex = np.diag(beta.sum(axis=1)) - beta

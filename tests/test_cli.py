@@ -172,11 +172,11 @@ class TestProblemDispatch:
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
         assert capsys.readouterr().out.startswith(f"{label}: 8 split steps")
 
-    def test_threads_only_on_studies_that_use_it(self):
-        assert _exit_code(["iters", "--threads", "2", "--dry-run"]) == EXIT_USAGE
-        for sub in ("convergence", "balance"):
-            cfg = parse_config([sub, "--threads", "2"])
-            assert cfg.threads == 2
+    def test_threads_rejected_and_seed_only_on_stability(self):
+        for sub in cli.SUBCOMMANDS:
+            assert _exit_code([sub, "--threads", "2", "--dry-run"]) == EXIT_USAGE
+            code = _exit_code([sub, "--seed", "3", "--dry-run"])
+            assert code == (EXIT_OK if sub == "stability" else EXIT_USAGE)
 
 
 class TestBadNumericInput:
@@ -199,6 +199,12 @@ class TestBadNumericInput:
         ["iters", "--taus", "2^-3,nan"],
         ["convergence", "--taus", "2^-3,-0.0625"],
         ["toy", "--tau", "abc"],
+        ["iters", "--ks", "abc"],
+        ["iters", "--taus", ","],
+        ["network", "--tau", "2^-3", "--beta", "0,1=abc"],
+        ["network", "--tau", "2^-3", "--alphas", "nan,0.2"],
+        ["network", "--tau", "2^-3", "--beta", "0,1=nan"],
+        ["network", "--tau", "2^-3", "--moduli", "inf,1"],
     ])
     def test_fails_with_exit_code_and_no_traceback(self, argv, tmp_path,
                                                    capsys):
@@ -207,3 +213,69 @@ class TestBadNumericInput:
         assert code in (EXIT_USAGE, EXIT_VALIDATION), err
         assert "Traceback" not in err
         assert err.strip()
+
+    def test_malformed_config_value_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("k = abc\n")
+        assert main(["toy", "--tau", "2^-3", "--config", str(path)]) \
+            == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "k: expected an integer" in err
+        assert "Traceback" not in err
+
+
+# One valid value per option row, different from every default.
+SAMPLES = {
+    "out": "elsewhere", "k": "2", "ks": "1,3", "tau": "2^-4",
+    "taus": "2^-2,2^-3", "T": "2", "tol": "1e-7", "s": "3", "gamma": "0.3",
+    "L": "2", "gammas": "0.2", "omega": "3", "omegas": "3", "problem": "toy",
+    "reference": "analytic", "n": "8", "networks": "3",
+    "alphas": "0.1,0.2,0.3", "moduli": "1,2,3", "mobilities": "1,2,3",
+    "beta": "0,2=1e-3", "seed": "5",
+}
+
+
+def _option_cases(read: bool):
+    return [pytest.param(opt, sub, id=f"{opt.name}-{sub}")
+            for opt in cli.OPTIONS for sub in cli.SUBCOMMANDS
+            if (sub in opt.readers) == read]
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("opt, sub", _option_cases(read=True))
+    def test_flag_and_config_key_agree(self, opt, sub, tmp_path):
+        value = SAMPLES[opt.name]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{opt.name} = {value}\n")
+        from_flag = parse_config([sub, f"--{opt.name}", value])
+        from_file = parse_config([sub, "--config", str(path)])
+        default = parse_config([sub])
+        assert getattr(from_flag, opt.dest) == getattr(from_file, opt.dest)
+        assert getattr(from_flag, opt.dest) != getattr(default, opt.dest)
+
+    @pytest.mark.parametrize("opt, sub", _option_cases(read=False))
+    def test_unread_option_is_rejected(self, opt, sub, tmp_path, capsys):
+        value = SAMPLES[opt.name]
+        assert _exit_code([sub, f"--{opt.name}", value]) == EXIT_USAGE
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{opt.name} = {value}\n")
+        assert main([sub, "--config", str(path)]) == EXIT_USAGE
+        assert f"porosplit {sub} reads no option" in capsys.readouterr().err
+
+    def test_config_seed_is_kept_and_the_flag_wins(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 5\n")
+        assert parse_config(["stability", "--config", str(path)]).seed == 5
+        assert parse_config(["stability", "--config", str(path),
+                             "--seed", "7"]).seed == 7
+
+    @pytest.mark.parametrize("sub, gamma", [("toy", 0.5), ("biot2d", 0.4),
+                                            ("network", 0.4)])
+    def test_gamma_default_gives_way_to_L(self, sub, gamma, tmp_path):
+        assert parse_config([sub]).gamma == gamma
+        cfg = parse_config([sub, "--L", "2"])
+        assert (cfg.gamma, cfg.stabilization) == (None, 2.0)
+        path = tmp_path / "run.cfg"
+        path.write_text("L = 2\n")
+        assert parse_config([sub, "--config", str(path)]).gamma is None
+        assert f"gamma = {gamma}" in parse_config([sub]).summary()

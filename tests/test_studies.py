@@ -173,10 +173,3 @@ class TestDeterminism:
         res1 = convergence_study(toy, 1, [0.25, 0.125], tol_exponent=2.5)
         res2 = convergence_study(toy, 1, [0.25, 0.125], tol_exponent=2.5)
         assert res1.report.to_csv() == res2.report.to_csv()
-
-    def test_threads_do_not_change_output(self, toy):
-        res1 = convergence_study(toy, 1, [0.25, 0.125], tol_exponent=2.5,
-                                 threads=1)
-        res4 = convergence_study(toy, 1, [0.25, 0.125], tol_exponent=2.5,
-                                 threads=4)
-        assert res1.report.to_csv() == res4.report.to_csv()

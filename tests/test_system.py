@@ -148,6 +148,18 @@ class TestNetworkToy:
             make_network_toy(2, [0.1, 0.1], [1.0, 1.0], [1.0, 1.0],
                              {(0, 0): 1.0})
 
+    @pytest.mark.parametrize("alphas, moduli, mobilities, exchange, name", [
+        ([math.nan, 0.2], [1.0, 1.0], [1.0, 1.0], {}, "alphas"),
+        ([0.4, 0.2], [math.inf, 1.0], [1.0, 1.0], {}, "storage moduli"),
+        ([0.4, 0.2], [1.0, 1.0], [1.0, -math.inf], {}, "mobilities"),
+        ([0.4, 0.2], [1.0, 1.0], [1.0, 1.0], {(0, 1): math.nan},
+         "exchange rate"),
+    ])
+    def test_rejects_non_finite_parameters(self, alphas, moduli, mobilities,
+                                           exchange, name):
+        with pytest.raises(InvalidParameter, match=name):
+            make_network_toy(2, alphas, moduli, mobilities, exchange)
+
     def test_exact_solution_satisfies_ode(self):
         sys = make_network_toy(2, [0.4, 0.2], [1.0, 2.0], [1.0, 0.5],
                                {(0, 1): 1e-2})
