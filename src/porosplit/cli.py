@@ -370,10 +370,9 @@ def _build_single_system(cfg: RunConfig):
     if problem == "biot2d":
         return fem2d.manufactured_system(cfg.grid_n)
     if problem == "network":
-        count = cfg.networks
         return system.make_network_toy(
-            count, cfg.alphas[:count], cfg.moduli[:count],
-            cfg.mobilities[:count], cfg.exchange)
+            cfg.networks, cfg.alphas, cfg.moduli, cfg.mobilities,
+            cfg.exchange)
     raise ValidationError(f"unknown problem kind {problem!r}")
 
 

@@ -16,7 +16,7 @@ modal decomposition and get attached as evaluators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,12 +52,12 @@ class CouplingStrength:
             raise InvalidParameter("coupling strength must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoupledSystem:
     """Assembled operators, norms, constants, sources and initial data.
 
-    Immutable by convention after construction: sources must be pure
-    functions of time, so instances can be shared across threads.
+    Frozen: derived systems are built with :func:`dataclasses.replace`.
+    Sources must be pure functions of time.
     """
 
     # Operators and norm matrices: numpy.ndarray or scipy.sparse matrices.
@@ -219,25 +219,21 @@ def time_shifted(sys: CoupledSystem, t0: float) -> CoupledSystem:
     measure orders past the initial layer that rough initial data excites
     in the stiff modes of the discretized system.
     """
-    import copy
-
     u_eval = sys.semidiscrete_u or sys.exact_u
     p_eval = sys.semidiscrete_p or sys.exact_p
     if u_eval is None or p_eval is None:
         raise InvalidParameter("time shift needs solution evaluators")
-    out = copy.copy(sys)
-    out.load_u = lambda t: sys.load_u(t + t0)
-    out.load_p = lambda t: sys.load_p(t + t0)
-    out.u0 = u_eval(t0)
-    out.p0 = p_eval(t0)
-    if sys.exact_u is not None:
-        out.exact_u = lambda t: sys.exact_u(t + t0)
-        out.exact_p = lambda t: sys.exact_p(t + t0)
-    if sys.semidiscrete_u is not None:
-        out.semidiscrete_u = lambda t: sys.semidiscrete_u(t + t0)
-        out.semidiscrete_p = lambda t: sys.semidiscrete_p(t + t0)
-    out.label = f"{sys.label}@t0={t0:g}"
-    return out
+
+    def shift(fn):
+        return None if fn is None else (lambda t: fn(t + t0))
+
+    return replace(
+        sys, load_u=shift(sys.load_u), load_p=shift(sys.load_p),
+        u0=u_eval(t0), p0=p_eval(t0),
+        exact_u=shift(sys.exact_u), exact_p=shift(sys.exact_p),
+        semidiscrete_u=shift(sys.semidiscrete_u),
+        semidiscrete_p=shift(sys.semidiscrete_p),
+        label=f"{sys.label}@t0={t0:g}")
 
 
 def exact_discrete_constants(sys: CoupledSystem) -> dict[str, float]:
@@ -318,9 +314,9 @@ def make_toy(omega: float) -> CoupledSystem:
         p0=p0,
         label=f"toy(omega={omega:g})",
     )
-    sys.exact_u, sys.exact_p = semidiscrete_solution(sys, ("sin", 1.0))
-    sys.semidiscrete_u, sys.semidiscrete_p = sys.exact_u, sys.exact_p
-    return sys
+    u, p = semidiscrete_solution(sys, ("sin", 1.0))
+    return replace(sys, exact_u=u, exact_p=p, semidiscrete_u=u,
+                   semidiscrete_p=p)
 
 
 def make_network_toy(count: int, alphas, storage_moduli, mobilities,
@@ -397,6 +393,6 @@ def make_network_toy(count: int, alphas, storage_moduli, mobilities,
         p0=p0,
         label=f"network-toy(J={count})",
     )
-    sys.exact_u, sys.exact_p = semidiscrete_solution(sys, ("sin", 1.0))
-    sys.semidiscrete_u, sys.semidiscrete_p = sys.exact_u, sys.exact_p
-    return sys
+    u, p = semidiscrete_solution(sys, ("sin", 1.0))
+    return replace(sys, exact_u=u, exact_p=p, semidiscrete_u=u,
+                   semidiscrete_p=p)

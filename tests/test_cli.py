@@ -205,6 +205,8 @@ class TestBadNumericInput:
         ["network", "--tau", "2^-3", "--alphas", "nan,0.2"],
         ["network", "--tau", "2^-3", "--beta", "0,1=nan"],
         ["network", "--tau", "2^-3", "--moduli", "inf,1"],
+        ["network", "--tau", "2^-3", "--networks", "2",   # 3 alphas for 2
+         "--alphas", "0.4,0.2,0.1", "--moduli", "1,1,5"],
     ])
     def test_fails_with_exit_code_and_no_traceback(self, argv, tmp_path,
                                                    capsys):

@@ -8,6 +8,7 @@ from porosplit.fem2d import (BiotParameters, Grid2D, assemble_biot,
                              interpolate, manufactured, manufactured_system,
                              pde_residual_fd)
 from porosplit.linalg import factorize, weighted_norm_sq
+from porosplit.system import exact_discrete_constants
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +125,114 @@ def _loop_mass_matrix(grid):
     return out
 
 
+def _loop_triangles(grid):
+    """Per triangle: node indices, area, P1 coefficients and corners.
+
+    Column a of the coefficient matrix holds (c0, cx, cy) with
+    phi_a(x, y) = c0 + cx x + cy y, from inverting the vertex table.
+    """
+    x, y = grid.nodes()
+    for tri in grid.triangles():
+        corners = np.stack([x[tri], y[tri]], axis=1)
+        table = np.column_stack([np.ones(3), corners])
+        area = 0.5 * abs(np.linalg.det(table))
+        yield tri, area, np.linalg.inv(table), corners
+
+
+def _loop_elasticity(grid, lam, mu):
+    """Plain-loop 2 mu eps(u):eps(v) + lam div u div v over (comp, node)."""
+    nn = grid.node_count
+    out = np.zeros((2 * nn, 2 * nn))
+    for tri, area, coef, _ in _loop_triangles(grid):
+        strains, divs = [], []
+        for comp in range(2):
+            for a in range(3):
+                grad_u = np.zeros((2, 2))      # d u_i / d x_j of phi_a e_comp
+                grad_u[comp] = coef[1:, a]
+                strains.append(0.5 * (grad_u + grad_u.T))
+                divs.append(np.trace(grad_u))
+        dofs = [comp * nn + node for comp in range(2) for node in tri]
+        for i in range(6):
+            for j in range(6):
+                out[dofs[i], dofs[j]] += area * (
+                    2.0 * mu * np.sum(strains[i] * strains[j])
+                    + lam * divs[i] * divs[j])
+    return out
+
+
+def _loop_coupling(grid, alpha):
+    """Plain-loop alpha int (div u) q: rows over p-nodes, cols (comp, node)."""
+    nn = grid.node_count
+    out = np.zeros((nn, 2 * nn))
+    for tri, area, coef, _ in _loop_triangles(grid):
+        for a in range(3):
+            for comp in range(2):
+                for b in range(3):
+                    # int_T phi_a = area / 3 and d phi_b / dx_comp is constant
+                    out[tri[a], comp * nn + tri[b]] += \
+                        alpha * area / 3.0 * coef[1 + comp, b]
+    return out
+
+
+def _loop_load(grid, field, t):
+    """Plain-loop mid-edge rule int field phi_a, one row per node."""
+    out = None
+    for tri, area, coef, corners in _loop_triangles(grid):
+        for m in range(3):
+            mid = 0.5 * (corners[m] + corners[(m + 1) % 3])
+            value = np.asarray(field(t, mid[0], mid[1]), dtype=float)
+            if out is None:
+                out = np.zeros((grid.node_count,) + value.shape)
+            for a in range(3):
+                phi = coef[0, a] + coef[1:, a] @ mid
+                out[tri[a]] += area / 3.0 * phi * value
+    return out
+
+
+def _assert_close(actual, expected, rel=1e-13):
+    scale = np.abs(expected).max()
+    assert scale > 0.0
+    assert np.abs(actual - expected).max() <= rel * scale
+
+
 class TestAssembly:
+    def test_elasticity_matches_loop_assembly(self, params):
+        grid = Grid2D(4)
+        sys = assemble_biot(grid, params)
+        mask = grid.interior_mask()
+        umask = np.concatenate([mask, mask])
+        expected = _loop_elasticity(grid, params.lam, params.mu)
+        _assert_close(sys.elasticity.toarray(), expected[umask][:, umask])
+
+    def test_coupling_matches_loop_assembly(self, params):
+        grid = Grid2D(4)
+        sys = assemble_biot(grid, params)
+        mask = grid.interior_mask()
+        umask = np.concatenate([mask, mask])
+        expected = _loop_coupling(grid, params.alpha)
+        _assert_close(sys.coupling.toarray(), expected[mask][:, umask])
+
+    @pytest.mark.parametrize("t", [0.0, 0.37, 1.3])
+    def test_loads_match_loop_mid_edge_rule(self, params, solution, t):
+        grid = Grid2D(4)
+        sys = assemble_biot(grid, params, solution)
+        mask = grid.interior_mask()
+        _assert_close(sys.load_p(t), _loop_load(grid, solution.g, t)[mask])
+        f = _loop_load(grid, solution.f, t)[mask]
+        _assert_close(sys.load_u(t), np.concatenate([f[:, 0], f[:, 1]]))
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_constants_bracket_sharp_discrete_values(self, params, n):
+        sys = assemble_biot(Grid2D(n), params)
+        sharp = exact_discrete_constants(sys)
+        slack = 1e-12
+        for name in ("elastic_coercivity", "flow_coercivity",
+                     "storage_coercivity"):
+            assert getattr(sys, name) <= sharp[name] * (1 + slack), name
+        for name in ("elastic_continuity", "flow_continuity",
+                     "storage_continuity", "coupling_bound"):
+            assert getattr(sys, name) >= sharp[name] * (1 - slack), name
+
     def test_storage_matches_loop_assembled_mass(self, params):
         grid = Grid2D(4)
         sys = assemble_biot(grid, params)

@@ -27,11 +27,9 @@ def biot8():
 
 class TestStabilization:
     def test_default_with_unit_constants(self, toy):
-        sys = make_toy(1.0)
         # override constants to the unit case
-        sys.elastic_coercivity = 1.0
-        sys.elastic_continuity = 1.0
-        sys.coupling_bound = 1.0
+        sys = dataclasses.replace(make_toy(1.0), elastic_coercivity=1.0,
+                                  elastic_continuity=1.0, coupling_bound=1.0)
         assert default_stabilization(sys) == 1.0
 
     def test_default_clears_threshold_with_margin(self, toy):
@@ -41,10 +39,10 @@ class TestStabilization:
         assert ell == pytest.approx(2.0 * threshold, rel=1e-12)
 
     def test_biot_surrogate_value(self, biot8):
-        # C_a^2 C_d^2 / c_a^3 with surrogates 2mu+2lambda, alpha sqrt(2), 2mu
+        # C_a^2 C_d^2 / c_a^3 with surrogates 2mu+lambda, alpha, mu
         prm = fem2d.BiotParameters()
-        expected = ((2 * prm.mu + 2 * prm.lam) ** 2 * (prm.alpha ** 2 * 2.0)
-                    / (2 * prm.mu) ** 3)
+        expected = (2 * prm.mu + prm.lam) ** 2 * prm.alpha ** 2 / prm.mu ** 3
+        assert expected == pytest.approx(162.0, rel=1e-12)
         assert default_stabilization(biot8) == pytest.approx(expected,
                                                              rel=1e-12)
 
