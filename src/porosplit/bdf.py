@@ -28,7 +28,6 @@ __all__ = [
     "History",
     "history_sum",
     "discrete_derivative",
-    "derivative_defect",
 ]
 
 MAX_ORDER = 5
@@ -187,17 +186,3 @@ def discrete_derivative(sch: BdfScheme, tau: float, newest: np.ndarray,
     if hist.newest().shape != newest.shape:
         raise DimensionMismatch("history entry shape differs from newest")
     return (sch.coeffs[0] * newest + past) / tau
-
-
-def derivative_defect(sch: BdfScheme, tau: float, f, df, t: float) -> float:
-    """Defect ``|(1/tau) sum_l xi_l f(t - l tau) - df(t)|``.
-
-    Zero (to round-off) for polynomials of degree <= k; decays like
-    ``tau^k`` for smooth f.
-    """
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    acc = 0.0
-    for ell, c in enumerate(sch.coeffs):
-        acc += c * float(f(t - ell * tau))
-    return abs(acc / tau - float(df(t)))

@@ -15,6 +15,7 @@ modal decomposition and get attached as evaluators.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -22,15 +23,13 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .linalg import DimensionMismatch, as_array, as_vector, factorize
+from .linalg import as_array, factorize
 
 __all__ = [
     "InvalidParameter",
-    "CouplingStrength",
     "CoupledSystem",
     "make_toy",
     "make_network_toy",
-    "residual_coupled",
     "semidiscrete_solution",
     "time_shifted",
     "exact_discrete_constants",
@@ -39,17 +38,6 @@ __all__ = [
 
 class InvalidParameter(ValueError):
     """A physical or algorithmic parameter is out of range."""
-
-
-@dataclass(frozen=True)
-class CouplingStrength:
-    """Dimensionless elliptic-parabolic interaction strength."""
-
-    omega: float
-
-    def __post_init__(self):
-        if self.omega <= 0.0:
-            raise InvalidParameter("coupling strength must be positive")
 
 
 @dataclass(frozen=True)
@@ -93,32 +81,6 @@ class CoupledSystem:
     def dim_p(self) -> int:
         return self.storage.shape[0]
 
-    def coupling_strength(self) -> CouplingStrength:
-        return CouplingStrength(
-            self.coupling_bound ** 2
-            / (self.elastic_coercivity * self.storage_coercivity)
-        )
-
-    def residual(self, u, p, du, dp, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return residual_coupled(self, u, p, du, dp, t)
-
-
-def residual_coupled(sys: CoupledSystem, u, p, du, dp,
-                     t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of the two coupled equations at state (u, p, du, dp).
-
-    r_u = A u - D^T p - f(t);  r_p = D du + C dp + B p - g(t).
-    """
-    u, p, du, dp = as_vector(u), as_vector(p), as_vector(du), as_vector(dp)
-    if u.size != sys.dim_u or du.size != sys.dim_u:
-        raise DimensionMismatch("displacement vector size mismatch")
-    if p.size != sys.dim_p or dp.size != sys.dim_p:
-        raise DimensionMismatch("pressure vector size mismatch")
-    r_u = sys.elasticity @ u - sys.coupling.T @ p - sys.load_u(t)
-    r_p = (sys.coupling @ du + sys.storage @ dp
-           + sys.flow_stiffness @ p - sys.load_p(t))
-    return r_u, r_p
-
 
 # ---------------------------------------------------------------------------
 # Exact solutions for linear constant-coefficient instances
@@ -143,19 +105,19 @@ def semidiscrete_solution(sys: CoupledSystem, shape: tuple[str, float]):
     g(t) - D A^{-1} f'(t)``, a linear constant-coefficient ODE solved
     exactly mode by mode. ``shape`` declares the time structure of the
     sources: ``("sin", freq)`` for g ~ sin(freq t) with constant f, or
-    ``("exp", rate)`` for both sources proportional to exp(-rate t). The
-    declared structure is validated numerically against the stored loads.
+    ``("exp", rate)`` for both sources proportional to exp(-rate t).
+
+    Construction only validates: the flow operator must be symmetric and
+    the stored loads must match the declared shape, else
+    :class:`InvalidParameter` is raised. The modal data (the factorization
+    of A, the dense Schur complement, its generalized eigenpairs and the
+    modal loads) cost O(n_p^3) and are built on the first evaluation of
+    either returned evaluator, then shared by both.
     """
     kind, par = shape
-    a_lu = factorize(sys.elasticity)
-    d = sys.coupling
-    c = as_array(sys.storage)
-    b = as_array(sys.flow_stiffness)
-    if not np.allclose(b, b.T, rtol=0, atol=1e-12 * max(np.abs(b).max(), 1e-300)):
+    b = sys.flow_stiffness
+    if not abs(b - b.T).max() <= 1e-12 * max(abs(b).max(), 1e-300):
         raise InvalidParameter("modal solution needs a symmetric flow operator")
-    m_hat = c + d @ a_lu.solve(as_array(d).T)
-    lam, modes = scipy.linalg.eigh(b, m_hat)
-    z0 = modes.T @ (m_hat @ sys.p0)
 
     def _check(claim: bool, what: str):
         if not claim:
@@ -173,15 +135,6 @@ def semidiscrete_solution(sys: CoupledSystem, shape: tuple[str, float]):
         _check(np.allclose(sys.load_p(probe), math.sin(freq * probe) * g_hat,
                            rtol=0, atol=1e-10 * (np.abs(g_hat).max() + 1.0)),
                "g must be sinusoidal")
-        c_mod = modes.T @ g_hat
-        denom = lam ** 2 + freq ** 2
-
-        def p_of_t(t: float) -> np.ndarray:
-            decay = np.exp(-lam * t)
-            z = (z0 + c_mod * freq / denom) * decay
-            z += c_mod * (lam * math.sin(freq * t)
-                          - freq * math.cos(freq * t)) / denom
-            return modes @ z
 
     elif kind == "exp":
         rate = float(par)
@@ -194,19 +147,45 @@ def semidiscrete_solution(sys: CoupledSystem, shape: tuple[str, float]):
             _check(np.allclose(sys.load_p(t_probe), math.exp(-rate * t_probe) * g0,
                                rtol=0, atol=1e-10 * (np.abs(g0).max() + 1.0)),
                    "g must decay exponentially")
-        # g(t) - D A^{-1} f'(t) = (g0 + rate * D A^{-1} f0) e^{-rate t}
-        g_hat = g0 + rate * (d @ a_lu.solve(f0))
-        c_mod = modes.T @ g_hat
-
-        def p_of_t(t: float) -> np.ndarray:
-            z = z0 * np.exp(-lam * t) + c_mod * _expdiff(lam, rate, t)
-            return modes @ z
 
     else:
         raise InvalidParameter(f"unknown source shape {kind!r}")
 
+    @functools.cache
+    def modal():
+        """(A factorization, modes, modal coefficients as a function of t)."""
+        a_lu = factorize(sys.elasticity)
+        d = sys.coupling
+        m_hat = as_array(sys.storage) + d @ a_lu.solve(as_array(d).T)
+        lam, modes = scipy.linalg.eigh(as_array(b), m_hat)
+        z0 = modes.T @ (m_hat @ sys.p0)
+
+        if kind == "sin":
+            c_mod = modes.T @ g_hat
+            denom = lam ** 2 + freq ** 2
+
+            def z_of_t(t: float) -> np.ndarray:
+                decay = np.exp(-lam * t)
+                z = (z0 + c_mod * freq / denom) * decay
+                z += c_mod * (lam * math.sin(freq * t)
+                              - freq * math.cos(freq * t)) / denom
+                return z
+
+        else:
+            # g(t) - D A^{-1} f'(t) = (g0 + rate * D A^{-1} f0) e^{-rate t}
+            c_mod = modes.T @ (g0 + rate * (d @ a_lu.solve(f0)))
+
+            def z_of_t(t: float) -> np.ndarray:
+                return z0 * np.exp(-lam * t) + c_mod * _expdiff(lam, rate, t)
+
+        return a_lu, modes, z_of_t
+
+    def p_of_t(t: float) -> np.ndarray:
+        _, modes, z_of_t = modal()
+        return modes @ z_of_t(t)
+
     def u_of_t(t: float) -> np.ndarray:
-        return a_lu.solve(sys.coupling.T @ p_of_t(t) + sys.load_u(t))
+        return modal()[0].solve(sys.coupling.T @ p_of_t(t) + sys.load_u(t))
 
     return u_of_t, p_of_t
 

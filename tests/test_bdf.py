@@ -6,10 +6,11 @@ import pytest
 
 from porosplit import bdf
 from porosplit.bdf import (BdfScheme, History, IncompleteHistory,
-                           UnsupportedOrder, coefficients, derivative_defect,
+                           UnsupportedOrder, coefficients,
                            discrete_derivative, exact_coefficients,
                            history_sum, scheme)
 from porosplit.linalg import DimensionMismatch
+from verification import derivative_defect
 
 TABLE = {
     1: (Fraction(1), Fraction(-1)),

@@ -1,9 +1,16 @@
+import math
 import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from porosplit import cli
+from porosplit import cli, fem2d
+from porosplit.bdf import scheme
+from porosplit.linalg import weighted_norm_sq
+from porosplit.splitsolve import SplitConfig, integrate
 from porosplit.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                            EXIT_VALIDATION, main, parse_config)
 
@@ -170,13 +177,71 @@ class TestProblemDispatch:
     def test_single_run_uses_the_named_problem(self, argv, label, tmp_path,
                                                capsys):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
-        assert capsys.readouterr().out.startswith(f"{label}: 8 split steps")
+        out = capsys.readouterr().out
+        assert out.startswith(f"{label}: 8 split steps")
+        assert "final-time pressure error against exact, L2 (norm_p) norm" \
+            in out
+
+    def test_error_line_is_the_l2_norm(self, tmp_path, capsys):
+        assert main(["biot2d", "--tau", "2^-3", "--n", "4",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        printed = re.search(r"L2 \(norm_p\) norm: (\S+)",
+                            capsys.readouterr().out).group(1)
+        sys_obj = fem2d.manufactured_system(4)
+        tau = 2.0 ** -3
+        traj = integrate(sys_obj, SplitConfig(tol=tau ** 2.5,
+                                              gamma_target=0.4,
+                                              startup="bootstrap"),
+                         scheme(1), tau, 1.0)
+        diff = traj.ps[-1] - sys_obj.exact_p(1.0)
+        want = math.sqrt(weighted_norm_sq(sys_obj.norm_p, diff))
+        assert printed == f"{want:.3e}"
 
     def test_threads_rejected_and_seed_only_on_stability(self):
         for sub in cli.SUBCOMMANDS:
             assert _exit_code([sub, "--threads", "2", "--dry-run"]) == EXIT_USAGE
             code = _exit_code([sub, "--seed", "3", "--dry-run"])
             assert code == (EXIT_OK if sub == "stability" else EXIT_USAGE)
+
+
+class TestPerProblemOptions:
+    @pytest.mark.parametrize("problem, name, value", [
+        (None, "omega", "3"),           # --problem defaults to biot2d
+        ("biot2d", "omega", "3"),
+        ("toy", "n", "8"),
+    ])
+    def test_option_the_problem_ignores_is_rejected(self, problem, name,
+                                                    value, tmp_path, capsys):
+        argv = ["convergence", "--dry-run"]
+        if problem:
+            argv += ["--problem", problem]
+        assert _exit_code(argv + [f"--{name}", value]) == EXIT_USAGE
+        assert f"reads no option {name!r}" in capsys.readouterr().err
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{name} = {value}\n")
+        assert main(argv + ["--config", str(path)]) == EXIT_USAGE
+        assert f"reads no option {name!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem, read, unread", [
+        ("toy", "omega = 3.0", "n = "), ("biot2d", "n = 8", "omega = ")])
+    def test_option_the_problem_reads_is_kept(self, problem, read, unread):
+        name, value = read.split(" = ")
+        cfg = parse_config(["convergence", "--problem", problem,
+                            f"--{name}", value])
+        assert read in cfg.summary()
+        assert unread not in cfg.summary()
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "porosplit", "biot2d", "--n", "4",
+             "--tau", "2^-3", "--dry-run"],
+            capture_output=True, text=True, env=env, cwd=root, timeout=60)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.startswith("porosplit biot2d")
 
 
 class TestBadNumericInput:
@@ -237,6 +302,9 @@ SAMPLES = {
 }
 
 
+_TAKES_PROBLEM = next(o.readers for o in cli.OPTIONS if o.name == "problem")
+
+
 def _option_cases(read: bool):
     return [pytest.param(opt, sub, id=f"{opt.name}-{sub}")
             for opt in cli.OPTIONS for sub in cli.SUBCOMMANDS
@@ -249,9 +317,12 @@ class TestOptionTable:
         value = SAMPLES[opt.name]
         path = tmp_path / "run.cfg"
         path.write_text(f"{opt.name} = {value}\n")
-        from_flag = parse_config([sub, f"--{opt.name}", value])
-        from_file = parse_config([sub, "--config", str(path)])
-        default = parse_config([sub])
+        # where the subcommand takes --problem, pick one that reads opt
+        context = (["--problem", opt.problems[0]]
+                   if opt.problems and sub in _TAKES_PROBLEM else [])
+        from_flag = parse_config([sub, f"--{opt.name}", value] + context)
+        from_file = parse_config([sub, "--config", str(path)] + context)
+        default = parse_config([sub] + context)
         assert getattr(from_flag, opt.dest) == getattr(from_file, opt.dest)
         assert getattr(from_flag, opt.dest) != getattr(default, opt.dest)
 

@@ -1,14 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
-from porosplit import fem2d
+from porosplit import fem2d, system
+from porosplit.bdf import scheme
 from porosplit.fem2d import (BiotParameters, Grid2D, assemble_biot,
-                             interpolate, manufactured, manufactured_system,
-                             pde_residual_fd)
+                             interpolate, manufactured, manufactured_system)
 from porosplit.linalg import factorize, weighted_norm_sq
-from porosplit.system import exact_discrete_constants
+from porosplit.splitsolve import SplitConfig, integrate
+from porosplit.system import (InvalidParameter, exact_discrete_constants,
+                              semidiscrete_solution)
+from verification import pde_residual_fd, residual_coupled
 
 
 @pytest.fixture(scope="module")
@@ -307,8 +313,8 @@ class TestSemidiscreteReference:
         for t in (0.1, 0.6):
             du = (sys.semidiscrete_u(t + h) - sys.semidiscrete_u(t - h)) / (2 * h)
             dp = (sys.semidiscrete_p(t + h) - sys.semidiscrete_p(t - h)) / (2 * h)
-            r_u, r_p = sys.residual(sys.semidiscrete_u(t),
-                                    sys.semidiscrete_p(t), du, dp, t)
+            r_u, r_p = residual_coupled(sys, sys.semidiscrete_u(t),
+                                        sys.semidiscrete_p(t), du, dp, t)
             assert np.abs(r_u).max() <= 1e-9
             assert np.abs(r_p).max() <= 1e-7
 
@@ -316,3 +322,68 @@ class TestSemidiscreteReference:
         sys = manufactured_system(8)
         np.testing.assert_allclose(sys.semidiscrete_p(0.0), sys.p0,
                                    atol=1e-12)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Calls of ``scipy.linalg.eigh`` as :mod:`porosplit.system` sees it."""
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(system.scipy.linalg, "eigh", counting)
+    return calls
+
+
+class TestLazyOracle:
+    def test_split_run_never_builds_the_oracle(self, eigh_calls):
+        sys = manufactured_system(8)
+        traj = integrate(sys, SplitConfig(tol=2.0 ** -14, gamma_target=0.4),
+                         scheme(2), 2.0 ** -3, 1.0, mode="split")
+        assert len(traj.reports) == 7
+        assert eigh_calls == []
+
+    def test_evaluators_share_one_build(self, eigh_calls):
+        sys = manufactured_system(8)
+        for t in (0.0, 0.25, 1.0):
+            sys.semidiscrete_p(t)
+            sys.semidiscrete_u(t)
+        sys.semidiscrete_u(2.0)
+        assert eigh_calls == [(sys.dim_p, sys.dim_p)]
+
+    def test_construction_only_validates(self, monkeypatch):
+        sys = assemble_biot(Grid2D(6), BiotParameters(),
+                            manufactured(BiotParameters()))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("oracle construction did heavy work")
+
+        for name in ("factorize", "as_array"):
+            monkeypatch.setattr(system, name, forbidden)
+        monkeypatch.setattr(system.scipy.linalg, "eigh", forbidden)
+        semidiscrete_solution(sys, ("exp", 0.2))
+
+    def test_rejects_nonsymmetric_flow_before_factorizing(self, monkeypatch):
+        sys = assemble_biot(Grid2D(4), BiotParameters(),
+                            manufactured(BiotParameters()))
+        skew = scipy.sparse.csr_matrix(([1e-3], ([0], [1])),
+                                       shape=sys.flow_stiffness.shape)
+        bad = replace(sys, flow_stiffness=sys.flow_stiffness + skew)
+        monkeypatch.setattr(system, "factorize", None)
+        with pytest.raises(InvalidParameter, match="symmetric flow"):
+            semidiscrete_solution(bad, ("exp", 0.2))
+
+    @pytest.mark.parametrize("shape, what", [
+        (("sin", 1.0), "f must be constant"),
+        (("exp", 0.3), "f must decay exponentially"),
+        (("cos", 1.0), "unknown source shape"),
+    ])
+    def test_rejects_mismatched_source_shape(self, shape, what, monkeypatch):
+        sys = assemble_biot(Grid2D(4), BiotParameters(),
+                            manufactured(BiotParameters()))
+        monkeypatch.setattr(system, "factorize", None)
+        with pytest.raises(InvalidParameter, match=what):
+            semidiscrete_solution(sys, shape)

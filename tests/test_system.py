@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from porosplit import system
 from porosplit.linalg import DimensionMismatch, factorize
 from porosplit.system import (CoupledSystem, InvalidParameter, make_network_toy,
-                              make_toy, residual_coupled,
-                              exact_discrete_constants)
+                              make_toy, exact_discrete_constants,
+                              semidiscrete_solution)
+from verification import coupling_strength, residual_coupled
 
 ROW = np.array([2.0, 1.0, 2.0]) / 3.0
 SCHUR_BASE = (13.0 / 9.0) * (2.0 - math.sqrt(2.0))  # row A^{-1} row^T
@@ -38,12 +41,13 @@ class TestMakeToy:
 
     def test_coupling_strength_invariant(self):
         for omega in (0.25, 2.0, 4.0):
-            assert make_toy(omega).coupling_strength().omega == pytest.approx(
+            assert coupling_strength(make_toy(omega)) == pytest.approx(
                 omega, rel=1e-12)
 
     def test_consistent_initial_data(self):
         toy = make_toy(3.0)
-        r_u, r_p = toy.residual(toy.u0, toy.p0, np.zeros(3), np.zeros(1), 0.0)
+        r_u, r_p = residual_coupled(toy, toy.u0, toy.p0, np.zeros(3),
+                                    np.zeros(1), 0.0)
         assert np.abs(r_u).max() <= 1e-10
         assert np.abs(r_p).max() <= 1e-10
 
@@ -57,7 +61,8 @@ class TestMakeToy:
         for t in (0.2, 0.8, 1.7):
             du = (toy.exact_u(t + h) - toy.exact_u(t - h)) / (2 * h)
             dp = (toy.exact_p(t + h) - toy.exact_p(t - h)) / (2 * h)
-            r_u, r_p = toy.residual(toy.exact_u(t), toy.exact_p(t), du, dp, t)
+            r_u, r_p = residual_coupled(toy, toy.exact_u(t), toy.exact_p(t),
+                                        du, dp, t)
             assert np.abs(r_u).max() <= 1e-8
             assert np.abs(r_p).max() <= 1e-7
 
@@ -72,6 +77,45 @@ class TestMakeToy:
             expected = (b / (1 + a * a)) * (a * math.sin(t) - math.cos(t)
                                             + math.exp(-a * t))
             assert toy.exact_p(t)[0] == pytest.approx(expected, abs=1e-10)
+
+
+class TestOracleValidation:
+    """Bad input to the modal oracle fails at construction, before any
+    factorization."""
+
+    @staticmethod
+    def _built(sys, monkeypatch):
+        """``sys``, with factorizations forbidden from here on."""
+        monkeypatch.setattr(system, "factorize", None)
+        return sys
+
+    def test_rejects_nonsymmetric_flow_operator(self, monkeypatch):
+        sys = self._built(make_network_toy(2, [0.4, 0.2], [1.0, 1.0],
+                                           [1.0, 1.0], {}), monkeypatch)
+        bad = replace(sys, flow_stiffness=np.array([[1.0, 0.1], [0.0, 1.0]]))
+        with pytest.raises(InvalidParameter, match="symmetric flow"):
+            semidiscrete_solution(bad, ("sin", 1.0))
+
+    def test_rejects_non_finite_flow_operator(self, monkeypatch):
+        toy = self._built(make_toy(2.0), monkeypatch)
+        bad = replace(toy, flow_stiffness=np.array([[math.nan]]))
+        with pytest.raises(InvalidParameter, match="symmetric flow"):
+            semidiscrete_solution(bad, ("sin", 1.0))
+
+    @pytest.mark.parametrize("shape, what", [
+        (("exp", 0.0), "g must decay exponentially"),   # f passes at rate 0
+        (("sin", 2.0), "g must be sinusoidal"),
+    ])
+    def test_rejects_mismatched_source_shape(self, shape, what, monkeypatch):
+        toy = self._built(make_toy(2.0), monkeypatch)
+        with pytest.raises(InvalidParameter, match=what):
+            semidiscrete_solution(toy, shape)
+
+    def test_rejects_time_dependent_f_for_sin(self, monkeypatch):
+        toy = self._built(make_toy(2.0), monkeypatch)
+        bad = replace(toy, load_u=lambda t: (1.0 + t) * np.ones(3))
+        with pytest.raises(InvalidParameter, match="f must be constant"):
+            semidiscrete_solution(bad, ("sin", 1.0))
 
 
 class TestResidual:
@@ -167,15 +211,16 @@ class TestNetworkToy:
         for t in (0.3, 1.1):
             du = (sys.exact_u(t + h) - sys.exact_u(t - h)) / (2 * h)
             dp = (sys.exact_p(t + h) - sys.exact_p(t - h)) / (2 * h)
-            r_u, r_p = sys.residual(sys.exact_u(t), sys.exact_p(t), du, dp, t)
+            r_u, r_p = residual_coupled(sys, sys.exact_u(t), sys.exact_p(t),
+                                        du, dp, t)
             assert np.abs(r_u).max() <= 1e-8
             assert np.abs(r_p).max() <= 1e-7
 
     def test_consistent_initial_data(self):
         sys = make_network_toy(3, [0.4, 0.2, 0.4], [1.0, 2.0, 3.0],
                                [1.0, 1.0, 1.0], {(0, 1): 1e-3})
-        r_u, _ = sys.residual(sys.u0, sys.p0, np.zeros(sys.dim_u),
-                              np.zeros(sys.dim_p), 0.0)
+        r_u, _ = residual_coupled(sys, sys.u0, sys.p0, np.zeros(sys.dim_u),
+                                  np.zeros(sys.dim_p), 0.0)
         assert np.abs(r_u).max() <= 1e-10
 
 

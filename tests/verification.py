@@ -1,0 +1,138 @@
+"""Test-only verification helpers.
+
+Residual and defect functions that check the library's outputs against
+the equations they are meant to solve: the coupled system's residuals,
+the BDF difference quotient's defect, the coupling strength of a system,
+and a finite-difference check that the manufactured Biot sources match
+their prescribed fields. Nothing in ``porosplit`` needs them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from porosplit.bdf import BdfScheme
+from porosplit.fem2d import ManufacturedSolution
+from porosplit.linalg import DimensionMismatch, as_vector
+from porosplit.system import CoupledSystem
+
+
+def residual_coupled(sys: CoupledSystem, u, p, du, dp,
+                     t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the two coupled equations at state (u, p, du, dp).
+
+    r_u = A u - D^T p - f(t);  r_p = D du + C dp + B p - g(t).
+    """
+    u, p, du, dp = as_vector(u), as_vector(p), as_vector(du), as_vector(dp)
+    if u.size != sys.dim_u or du.size != sys.dim_u:
+        raise DimensionMismatch("displacement vector size mismatch")
+    if p.size != sys.dim_p or dp.size != sys.dim_p:
+        raise DimensionMismatch("pressure vector size mismatch")
+    r_u = sys.elasticity @ u - sys.coupling.T @ p - sys.load_u(t)
+    r_p = (sys.coupling @ du + sys.storage @ dp
+           + sys.flow_stiffness @ p - sys.load_p(t))
+    return r_u, r_p
+
+
+def coupling_strength(sys: CoupledSystem) -> float:
+    """Dimensionless elliptic-parabolic interaction strength C_d^2 / (c_a c_c)."""
+    return sys.coupling_bound ** 2 / (sys.elastic_coercivity
+                                      * sys.storage_coercivity)
+
+
+def derivative_defect(sch: BdfScheme, tau: float, f, df, t: float) -> float:
+    """Defect ``|(1/tau) sum_l xi_l f(t - l tau) - df(t)|``.
+
+    Zero (to round-off) for polynomials of degree <= k; decays like
+    ``tau^k`` for smooth f.
+    """
+    if tau <= 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    acc = 0.0
+    for ell, c in enumerate(sch.coeffs):
+        acc += c * float(f(t - ell * tau))
+    return abs(acc / tau - float(df(t)))
+
+
+# ---------------------------------------------------------------------------
+# Finite-difference verification of the manufactured sources
+
+def _second_diff(fn, h):
+    """Richardson-extrapolated central second difference."""
+    def d2(t, x, y, axis):
+        def shift(delta):
+            if axis == 0:
+                return fn(t, x + delta, y)
+            return fn(t, x, y + delta)
+        coarse = (shift(2 * h) - 2 * fn(t, x, y) + shift(-2 * h)) / (4 * h * h)
+        fine = (shift(h) - 2 * fn(t, x, y) + shift(-h)) / (h * h)
+        return (4.0 * fine - coarse) / 3.0
+    return d2
+
+
+def _first_diff(fn, h):
+    def d1(t, x, y, axis):
+        def shift(delta):
+            if axis == 0:
+                return fn(t, x + delta, y)
+            if axis == 1:
+                return fn(t, x, y + delta)
+            return fn(t + delta, x, y)
+        coarse = (shift(2 * h) - shift(-2 * h)) / (4 * h)
+        fine = (shift(h) - shift(-h)) / (2 * h)
+        return (4.0 * fine - coarse) / 3.0
+    return d1
+
+
+def _mixed_diff(fn, h):
+    def dxy(t, x, y):
+        def corner(sx_, sy_):
+            return fn(t, x + sx_ * h, y + sy_ * h)
+        fine = (corner(1, 1) - corner(1, -1) - corner(-1, 1)
+                + corner(-1, -1)) / (4 * h * h)
+        coarse = (fn(t, x + 2 * h, y + 2 * h) - fn(t, x + 2 * h, y - 2 * h)
+                  - fn(t, x - 2 * h, y + 2 * h)
+                  + fn(t, x - 2 * h, y - 2 * h)) / (16 * h * h)
+        return (4.0 * fine - coarse) / 3.0
+    return dxy
+
+
+def pde_residual_fd(ms: ManufacturedSolution, t: float, x: float, y: float,
+                    step: float = 1.2e-3) -> float:
+    """Max-abs residual of the two Biot equations at one point, by finite
+    differences of the prescribed fields against the analytic sources."""
+    prm = ms.params
+    ux = lambda t_, x_, y_: ms.u(t_, x_, y_)[..., 0]
+    uy = lambda t_, x_, y_: ms.u(t_, x_, y_)[..., 1]
+    p = ms.p
+
+    d2_ux = _second_diff(ux, step)
+    d2_uy = _second_diff(uy, step)
+    d1_ux = _first_diff(ux, step)
+    d1_uy = _first_diff(uy, step)
+    d1_p = _first_diff(p, step)
+    dxy_ux = _mixed_diff(ux, step)
+    dxy_uy = _mixed_diff(uy, step)
+
+    lap_ux = d2_ux(t, x, y, 0) + d2_ux(t, x, y, 1)
+    lap_uy = d2_uy(t, x, y, 0) + d2_uy(t, x, y, 1)
+    # grad(div u)
+    gdiv_x = d2_ux(t, x, y, 0) + dxy_uy(t, x, y)
+    gdiv_y = dxy_ux(t, x, y) + d2_uy(t, x, y, 1)
+
+    mu, lam, alpha = prm.mu, prm.lam, prm.alpha
+    f_ref = ms.f(t, x, y)
+    res_u = np.hypot(
+        -mu * (lap_ux + gdiv_x) - lam * gdiv_x + alpha * d1_p(t, x, y, 0)
+        - f_ref[..., 0],
+        -mu * (lap_uy + gdiv_y) - lam * gdiv_y + alpha * d1_p(t, x, y, 1)
+        - f_ref[..., 1],
+    )
+
+    lap_p = _second_diff(p, step)(t, x, y, 0) + _second_diff(p, step)(t, x, y, 1)
+    div_u_dot = (_first_diff(lambda *a: ms.du_dt(*a)[..., 0], step)(t, x, y, 0)
+                 + _first_diff(lambda *a: ms.du_dt(*a)[..., 1], step)(t, x, y, 1))
+    dp_dt = _first_diff(p, step)(t, x, y, 2)
+    res_p = abs(alpha * div_u_dot + prm.inv_m * dp_dt
+                - prm.kappa_over_nu * lap_p - ms.g(t, x, y))
+    return float(max(res_u, res_p))
