@@ -369,7 +369,8 @@ def _steps_csv(traj: splitsolve.Trajectory) -> str:
     for r in traj.reports:
         lines.append(",".join([
             str(r.index), repr(r.time), str(r.inner_iterations),
-            str(r.predicted), repr(r.terminal_value), repr(r.ratio_median),
+            "" if r.predicted is None else str(r.predicted),
+            repr(r.terminal_value), repr(r.ratio_median),
         ]))
     return "\n".join(lines) + "\n"
 

@@ -330,9 +330,7 @@ def assemble_biot(grid: Grid2D, params: BiotParameters,
         elastic_coercivity=params.mu,
         elastic_continuity=2.0 * params.mu + params.lam,
         flow_coercivity=params.kappa_over_nu,
-        flow_continuity=params.kappa_over_nu,
         storage_coercivity=params.inv_m,
-        storage_continuity=params.inv_m,
         coupling_bound=params.alpha,
         load_u=load_u,
         load_p=load_p,

@@ -27,6 +27,7 @@ __all__ = [
     "DimensionMismatch",
     "as_vector",
     "as_array",
+    "Factor",
     "factorize",
     "weighted_norm_sq",
 ]

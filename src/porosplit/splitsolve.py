@@ -16,6 +16,10 @@ drops below tol^2. The monolithic reference solves the coupled block
 system in one shot. With stabilization at or above the coercivity-based
 default, successive functional values contract at least by
 ``sqrt(L / (2 c_c + L))`` per inner iteration.
+
+One :class:`StepperWork` per :func:`integrate` call decides L, the
+functional's weights and the predicted contraction once, and factors
+each block on its first solve, so a run factors only what its steps use.
 """
 
 from __future__ import annotations
@@ -73,10 +77,10 @@ class SolverFailure(RuntimeError):
 class SplitConfig:
     """Knobs of the split stepper.
 
-    Exactly one of ``stabilization`` (explicit L) and ``gamma_target``
-    should be given; with neither, the coercivity-based default L is used.
-    ``weights`` optionally overrides the (c_a, c_c, c_b) surrogates in the
-    termination functional.
+    At most one of ``stabilization`` (explicit L) and ``gamma_target`` may
+    be given; with neither, the coercivity-based default L is used. The
+    config only records the request: :class:`StepperWork` turns it into L
+    once per run.
     """
 
     tol: float
@@ -84,7 +88,6 @@ class SplitConfig:
     gamma_target: Optional[float] = None
     max_inner: int = 200
     startup: str = "bootstrap"       # or "exact"
-    weights: Optional[tuple[float, float, float]] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -102,34 +105,11 @@ class SplitConfig:
         if self.startup not in ("bootstrap", "exact"):
             raise ValueError(f"unknown startup {self.startup!r}")
 
-    def functional_weights(self, sys: CoupledSystem) -> tuple[float, float, float]:
-        if self.weights is not None:
-            return self.weights
-        return (sys.elastic_coercivity, sys.storage_coercivity,
-                sys.flow_coercivity)
-
-    def resolve_stabilization(self, sys: CoupledSystem, tau: float,
-                              xi0: float) -> float:
-        if self.stabilization is not None:
-            return self.stabilization
-        if self.gamma_target is not None:
-            if sys.dim_p == 1:
-                return stabilization_for_contraction(
-                    sys, self.gamma_target, tau, xi0)
-            # invert gamma^2 = (L/2)/(c_c + L/2) for multi-pressure systems
-            g2 = self.gamma_target ** 2
-            return 2.0 * sys.storage_coercivity * g2 / (1.0 - g2)
-        return default_stabilization(sys)
-
-    def prediction_gamma(self, sys: CoupledSystem, stabilization: float) -> float:
-        if self.gamma_target is not None:
-            return self.gamma_target
-        return contraction_factor(stabilization, sys.storage_coercivity)
-
 
 @dataclass
 class StepReport:
-    """Per-step record of the inner fixed-stress iteration."""
+    """Per-step record of the inner fixed-stress iteration; ``predicted``
+    is None when no contraction factor is known (L = 0, no gamma target)."""
 
     index: int
     time: float
@@ -137,7 +117,7 @@ class StepReport:
     terminal_value: float
     eps_values: list[float]
     ratios: list[float]
-    predicted: int
+    predicted: Optional[int]
     pressure_ratios: Optional[list[float]] = None
 
     @property
@@ -151,7 +131,8 @@ class StepReport:
 
 @dataclass
 class Trajectory:
-    """Uniformly spaced accepted states plus per-step iteration records."""
+    """Uniformly spaced accepted states plus per-step iteration records,
+    and the L a split run used (``stabilization``; None if implicit)."""
 
     tau: float
     times: np.ndarray
@@ -159,6 +140,7 @@ class Trajectory:
     ps: list[np.ndarray]
     reports: list[StepReport]
     mode: str
+    stabilization: Optional[float]
 
     def __len__(self) -> int:
         return len(self.times)
@@ -175,11 +157,8 @@ def default_stabilization(sys: CoupledSystem) -> float:
     Twice the contraction threshold, so the guaranteed-rate regime holds
     with a factor-2 margin.
     """
-    try:
-        ca, big_a, cd = (sys.elastic_coercivity, sys.elastic_continuity,
-                         sys.coupling_bound)
-    except AttributeError as exc:
-        raise MissingConstants(str(exc)) from exc
+    ca, big_a, cd = (sys.elastic_coercivity, sys.elastic_continuity,
+                     sys.coupling_bound)
     if not all(np.isfinite([ca, big_a, cd])) or ca <= 0.0:
         raise MissingConstants("system constants are missing or degenerate")
     return big_a ** 2 * cd ** 2 / ca ** 3
@@ -215,19 +194,6 @@ def contraction_factor(stabilization: float, storage_coercivity: float) -> float
     return math.sqrt(stabilization / (2.0 * storage_coercivity + stabilization))
 
 
-def termination_functional(cfg: SplitConfig, sys: CoupledSystem,
-                           du: np.ndarray, dp: np.ndarray, tau: float,
-                           xi0: float, stabilization: Optional[float] = None
-                           ) -> float:
-    """Weighted squared increment compared against tol^2 for termination."""
-    ca, cc, cb = cfg.functional_weights(sys)
-    ell = cfg.resolve_stabilization(sys, tau, xi0) \
-        if stabilization is None else stabilization
-    return (0.5 * ca * weighted_norm_sq(sys.norm_u, du)
-            + (cc + 0.5 * ell) * weighted_norm_sq(sys.norm_p, dp)
-            + (tau / xi0) * cb * weighted_norm_sq(sys.norm_p_grad, dp))
-
-
 def predict_iterations(tol: float, eps1: float, gamma: float) -> int:
     """A-priori inner iteration count ``ceil((ln tol - ln eps1)/ln gamma) + 1``.
 
@@ -243,67 +209,109 @@ def predict_iterations(tol: float, eps1: float, gamma: float) -> int:
 
 
 class StepperWork:
-    """Factorizations reused across the steps of one integration run.
+    """The decisions and factorizations of one :func:`integrate` call.
 
-    The operators are used as the system stores them: dense blocks give
-    dense LU factors, sparse blocks give SuperLU factors.
+    A split run resolves three values at construction. ``stabilization``
+    is L: ``cfg.stabilization``; or for ``cfg.gamma_target`` the exact L
+    on a scalar pressure, else the inverse of gamma^2 = (L/2)/(c_c + L/2);
+    or :func:`default_stabilization`. ``weights`` are the termination
+    weights (c_a/2, c_c + L/2, (tau/xi0) c_b). ``gamma`` is the factor
+    J_n is predicted from: the target, else sqrt(L/(2 c_c + L)), and None
+    for L = 0. An implicit run leaves all three None. Each factor is built
+    on first use and kept: A (split sweeps, exact start-up), the split
+    pressure block, and one monolithic block per BDF scheme stepped.
     """
 
-    def __init__(self, sys: CoupledSystem, sch: BdfScheme, tau: float,
-                 stabilization: float):
+    def __init__(self, sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
+                 tau: float, mode: str):
+        if mode not in ("split", "implicit"):
+            raise ValueError(f"unknown mode {mode!r}")
         self.sys = sys
+        self.cfg = cfg
         self.scheme = sch
         self.tau = tau
-        self.stabilization = stabilization
+        self.stabilization = self.weights = self.gamma = None
+        self._factors: dict = {}
+        if mode == "implicit":
+            return
         xi0 = sch.leading
-        try:
-            self.a_solve = factorize(sys.elasticity)
-            self.p_solve = factorize(
-                (xi0 / tau) * (sys.storage + stabilization * sys.norm_p)
-                + sys.flow_stiffness)
-        except linalg.LinalgError as exc:
-            raise SolverFailure(f"factorization failed: {exc}") from exc
-        self._block = None
+        if cfg.stabilization is not None:
+            ell = cfg.stabilization
+        elif cfg.gamma_target is None:
+            ell = default_stabilization(sys)
+        elif sys.dim_p == 1:
+            ell = stabilization_for_contraction(sys, cfg.gamma_target, tau, xi0)
+        else:
+            g2 = cfg.gamma_target ** 2
+            ell = 2.0 * sys.storage_coercivity * g2 / (1.0 - g2)
+        self.stabilization = ell
+        self.weights = (0.5 * sys.elastic_coercivity,
+                        sys.storage_coercivity + 0.5 * ell,
+                        tau / xi0 * sys.flow_coercivity)
+        if cfg.gamma_target is not None:
+            self.gamma = cfg.gamma_target
+        elif ell > 0.0:
+            self.gamma = contraction_factor(ell, sys.storage_coercivity)
 
-    def block_solve(self):
-        if self._block is None:
-            sys, tau = self.sys, self.tau
-            xi0 = self.scheme.leading
+    def _factor(self, key, build):
+        factor = self._factors.get(key)
+        if factor is None:
+            try:
+                factor = self._factors[key] = factorize(build())
+            except linalg.LinalgError as exc:
+                raise SolverFailure(f"factorization failed: {exc}") from exc
+        return factor
+
+    def elasticity_factor(self) -> linalg.Factor:
+        return self._factor("elasticity", lambda: self.sys.elasticity)
+
+    def pressure_factor(self) -> linalg.Factor:
+        """Factor of the split pressure block (xi0/tau)(C + L M_H) + B."""
+        sys = self.sys
+        return self._factor("pressure", lambda: (
+            (self.scheme.leading / self.tau)
+            * (sys.storage + self.stabilization * sys.norm_p)
+            + sys.flow_stiffness))
+
+    def block_factor(self, sch: BdfScheme) -> linalg.Factor:
+        """Factor of the monolithic BDF block of ``sch``."""
+        def build():
+            sys = self.sys
+            xi_tau = sch.leading / self.tau
             d = sys.coupling
             blocks = [[sys.elasticity, -d.T],
-                      [(xi0 / tau) * d,
-                       (xi0 / tau) * sys.storage + sys.flow_stiffness]]
+                      [xi_tau * d, xi_tau * sys.storage + sys.flow_stiffness]]
             if scipy.sparse.issparse(sys.elasticity):
-                block = scipy.sparse.bmat(blocks, format="csc")
-            else:
-                block = np.block(blocks)
-            try:
-                self._block = factorize(block)
-            except linalg.LinalgError as exc:
-                raise SolverFailure(f"block factorization failed: {exc}") from exc
-        return self._block
+                return scipy.sparse.bmat(blocks, format="csc")
+            return np.block(blocks)
+        return self._factor(sch, build)
 
 
-def _history_sums(sch: BdfScheme, hist_u: History, hist_p: History):
-    return history_sum(sch, hist_u), history_sum(sch, hist_p)
+def termination_functional(work: StepperWork, du: np.ndarray,
+                           dp: np.ndarray) -> float:
+    """Weighted squared increment compared against tol^2 for termination,
+    with the weights the split run's ``work`` resolved."""
+    sys = work.sys
+    w_u, w_p, w_q = work.weights
+    return (w_u * weighted_norm_sq(sys.norm_u, du)
+            + w_p * weighted_norm_sq(sys.norm_p, dp)
+            + w_q * weighted_norm_sq(sys.norm_p_grad, dp))
 
 
-def step_split(sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
-               tau: float, hist_u: History, hist_p: History, t: float,
-               work: Optional[StepperWork] = None
+def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
                ) -> tuple[np.ndarray, np.ndarray, StepReport]:
-    """One split time step: iterate pressure/displacement solves to tolerance.
+    """One split time step of ``work``'s scheme: iterate pressure and
+    displacement solves to tolerance.
 
     The initial iterate is the previous accepted state (newest history
     entry). Raises :class:`MaxInnerExceeded` if the termination functional
     does not pass tol^2 within ``cfg.max_inner`` iterations.
     """
-    ell = cfg.resolve_stabilization(sys, tau, sch.leading) if work is None \
-        else work.stabilization
-    if work is None:
-        work = StepperWork(sys, sch, tau, ell)
+    sys, cfg, sch, tau = work.sys, work.cfg, work.scheme, work.tau
+    ell = work.stabilization
     xi0 = sch.leading
-    su, sp = _history_sums(sch, hist_u, hist_p)
+    p_factor, a_factor = work.pressure_factor(), work.elasticity_factor()
+    su, sp = history_sum(sch, hist_u), history_sum(sch, hist_p)
     scalar_p = sys.dim_p == 1
 
     rhs_fixed = sys.load_p(t) - (sys.coupling @ su + sys.storage @ sp) / tau
@@ -321,13 +329,13 @@ def step_split(sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
         rhs_p = (rhs_fixed - (xi0 / tau) * (sys.coupling @ u_prev)
                  + (xi0 / tau) * ell * (sys.norm_p @ p_prev))
         try:
-            p_new = work.p_solve.solve(rhs_p)
-            u_new = work.a_solve.solve(sys.coupling.T @ p_new + f_now)
+            p_new = p_factor.solve(rhs_p)
+            u_new = a_factor.solve(sys.coupling.T @ p_new + f_now)
         except linalg.LinalgError as exc:
             raise SolverFailure(f"inner solve failed: {exc}") from exc
         du = u_new - u_prev
         dp = p_new - p_prev
-        value = termination_functional(cfg, sys, du, dp, tau, xi0, ell)
+        value = termination_functional(work, du, dp)
         if not math.isfinite(value):
             raise SolverFailure(
                 f"termination functional is {value} at t={t:g}, inner "
@@ -343,9 +351,8 @@ def step_split(sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
         dp_prev = dp
         u_prev, p_prev = u_new, p_new
         if value <= tol_sq:
-            gamma = cfg.prediction_gamma(sys, ell)
-            predicted = predict_iterations(cfg.tol, max(eps_values[0], 1e-300),
-                                           gamma)
+            predicted = None if work.gamma is None else predict_iterations(
+                cfg.tol, max(eps_values[0], 1e-300), work.gamma)
             report = StepReport(
                 index=-1, time=t, inner_iterations=i, terminal_value=value,
                 eps_values=eps_values, ratios=ratios, predicted=predicted,
@@ -357,53 +364,50 @@ def step_split(sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
         f"stabilization {ell:g} may be below its threshold")
 
 
-def step_implicit(sys: CoupledSystem, sch: BdfScheme, tau: float,
-                  hist_u: History, hist_p: History, t: float,
-                  work: Optional[StepperWork] = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """One monolithic implicit BDF step of the coupled block system."""
-    if work is None:
-        work = StepperWork(sys, sch, tau, 0.0)
-    su, sp = _history_sums(sch, hist_u, hist_p)
+def step_implicit(work: StepperWork, sch: BdfScheme, hist_u: History,
+                  hist_p: History, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """One monolithic implicit BDF step of scheme ``sch``, which is
+    ``work.scheme`` in the main loop and a lower order in the bootstrap."""
+    sys, tau = work.sys, work.tau
+    su, sp = history_sum(sch, hist_u), history_sum(sch, hist_p)
     rhs = np.concatenate([
         sys.load_u(t),
         sys.load_p(t) - (sys.coupling @ su + sys.storage @ sp) / tau,
     ])
     try:
-        z = work.block_solve().solve(rhs)
+        z = work.block_factor(sch).solve(rhs)
     except linalg.LinalgError as exc:
         raise SolverFailure(f"monolithic solve failed: {exc}") from exc
     return z[:sys.dim_u], z[sys.dim_u:]
 
 
-def _startup_states(sys: CoupledSystem, cfg: SplitConfig, k: int, tau: float,
-                    initial_history=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _startup_states(work: StepperWork, initial_history
+                    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """States at t = 0..(k-1) tau seeding the multistep history."""
+    sys, tau, k = work.sys, work.tau, work.scheme.order
     if initial_history is not None:
         us, ps = initial_history
         if len(us) != k or len(ps) != k:
             raise ValueError(f"initial history must provide {k} states")
         return [np.asarray(u, dtype=float) for u in us], \
                [np.asarray(p, dtype=float) for p in ps]
-    if cfg.startup == "exact":
+    if work.cfg.startup == "exact":
         if sys.exact_u is None or sys.exact_p is None:
             raise MissingConstants("exact startup requires exact evaluators")
         # Seed pressures verbatim; re-solve the elliptic equation per seed so
         # the displacement history sits on the algebraic constraint manifold
         # (interpolants of the analytic fields violate it by the spatial
         # consistency error, which the first step would amplify by 1/tau).
-        a_solve = factorize(sys.elasticity)
+        a_factor = work.elasticity_factor()
         ps = [sys.exact_p(ell * tau) for ell in range(k)]
-        us = [a_solve.solve(sys.coupling.T @ p + sys.load_u(ell * tau))
+        us = [a_factor.solve(sys.coupling.T @ p + sys.load_u(ell * tau))
               for ell, p in enumerate(ps)]
         return us, ps
     # bootstrap: implicit steps of increasing order fill the history
     us, ps = [sys.u0.copy()], [sys.p0.copy()]
     for n in range(1, k):
-        sch_n = make_scheme(n)
-        hu = History(n, us[-n:])
-        hp = History(n, ps[-n:])
-        u, p = step_implicit(sys, sch_n, tau, hu, hp, n * tau)
+        u, p = step_implicit(work, make_scheme(n), History(n, us[-n:]),
+                             History(n, ps[-n:]), n * tau)
         us.append(u)
         ps.append(p)
     return us, ps
@@ -417,10 +421,11 @@ def integrate(sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
     ``mode`` selects the split or the monolithic implicit stepper for the
     main loop; startup states for a k-step scheme come from
     ``initial_history`` when given, otherwise from the configured startup
-    strategy (implicit lower-order bootstrap or exact data).
+    strategy (implicit lower-order bootstrap or exact data). The run's one
+    :class:`StepperWork` resolves L, the termination weights and the
+    prediction factor before the first step, and factors each block on its
+    first solve; the trajectory records the L used.
     """
-    if mode not in ("split", "implicit"):
-        raise ValueError(f"unknown mode {mode!r}")
     if tau <= 0.0 or t_end <= 0.0:
         raise ValueError("tau and t_end must be positive")
     steps = t_end / tau
@@ -431,9 +436,8 @@ def integrate(sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
     if n_steps < k:
         raise ValueError(f"need at least {k} steps for BDF-{k}, got {n_steps}")
 
-    ell = cfg.resolve_stabilization(sys, tau, sch.leading)
-    work = StepperWork(sys, sch, tau, ell)
-    us, ps = _startup_states(sys, cfg, k, tau, initial_history)
+    work = StepperWork(sys, cfg, sch, tau, mode)
+    us, ps = _startup_states(work, initial_history)
     hist_u = History(k, us)
     hist_p = History(k, ps)
     reports: list[StepReport] = []
@@ -441,12 +445,11 @@ def integrate(sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
     for n in range(k, n_steps + 1):
         t = n * tau
         if mode == "split":
-            u, p, report = step_split(sys, cfg, sch, tau, hist_u, hist_p, t,
-                                      work)
+            u, p, report = step_split(work, hist_u, hist_p, t)
             report.index = n
             reports.append(report)
         else:
-            u, p = step_implicit(sys, sch, tau, hist_u, hist_p, t, work)
+            u, p = step_implicit(work, sch, hist_u, hist_p, t)
         us.append(u)
         ps.append(p)
         hist_u.push(u)
@@ -454,4 +457,4 @@ def integrate(sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
 
     times = tau * np.arange(n_steps + 1)
     return Trajectory(tau=tau, times=times, us=us, ps=ps, reports=reports,
-                      mode=mode)
+                      mode=mode, stabilization=work.stabilization)

@@ -32,6 +32,7 @@ __all__ = [
     "g_stability_data",
     "criterion_min",
     "find_multiplier",
+    "certificate",
     "identity_residual",
     "verify_identity",
 ]

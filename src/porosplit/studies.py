@@ -18,8 +18,7 @@ import numpy as np
 
 from .bdf import scheme as make_scheme
 from .linalg import weighted_norm_sq
-from .splitsolve import (SplitConfig, Trajectory, integrate,
-                         stabilization_for_contraction)
+from .splitsolve import SplitConfig, Trajectory, integrate
 from .system import CoupledSystem
 
 __all__ = [
@@ -113,31 +112,32 @@ def _seed_history(sys: CoupledSystem, k: int, tau: float):
             [p_eval(ell * tau) for ell in range(k)])
 
 
-def _errors_vs_evaluators(traj: Trajectory, sys: CoupledSystem, u_eval,
-                          p_eval, start: int) -> tuple[float, float]:
+def _max_errors(traj: Trajectory, sys: CoupledSystem, state_at,
+                start: int) -> tuple[float, float]:
+    """Max over steps n >= start of the V and H errors against the
+    reference state ``state_at(n) -> (u, p)`` of step index n."""
     err_u = err_p = 0.0
     for n in range(start, len(traj.times)):
-        t = traj.times[n]
+        u_ref, p_ref = state_at(n)
         err_u = max(err_u, math.sqrt(weighted_norm_sq(
-            sys.norm_u, traj.us[n] - u_eval(t))))
+            sys.norm_u, traj.us[n] - u_ref)))
         err_p = max(err_p, math.sqrt(weighted_norm_sq(
-            sys.norm_p, traj.ps[n] - p_eval(t))))
+            sys.norm_p, traj.ps[n] - p_ref)))
     return err_u, err_p
 
 
-def _errors_vs_reference(traj: Trajectory, sys: CoupledSystem,
-                         ref: Trajectory, start: int) -> tuple[float, float]:
+def _on_evaluators(traj: Trajectory, u_eval, p_eval):
+    """Reference states of ``traj``'s steps from solution evaluators."""
+    return lambda n: (u_eval(traj.times[n]), p_eval(traj.times[n]))
+
+
+def _on_reference(traj: Trajectory, ref: Trajectory):
+    """Reference states of ``traj``'s steps from a finer run ``ref``."""
     stride = traj.tau / ref.tau
     if abs(stride - round(stride)) > 1e-9:
         raise ValueError("reference step must divide the run step")
     stride = round(stride)
-    err_u = err_p = 0.0
-    for n in range(start, len(traj.times)):
-        err_u = max(err_u, math.sqrt(weighted_norm_sq(
-            sys.norm_u, traj.us[n] - ref.us[n * stride])))
-        err_p = max(err_p, math.sqrt(weighted_norm_sq(
-            sys.norm_p, traj.ps[n] - ref.ps[n * stride])))
-    return err_u, err_p
+    return lambda n: (ref.us[n * stride], ref.ps[n * stride])
 
 
 def _reference_run(sys: CoupledSystem, k: int, tau_ref: float,
@@ -182,13 +182,13 @@ def convergence_study(sys: CoupledSystem, order: int, taus, tol_exponent=None,
 
     if reference == "fine-implicit":
         ref = _reference_run(sys, k, min(taus) / 8.0, t_end)
-        measure = lambda traj: _errors_vs_reference(sys=sys, traj=traj,
-                                                    ref=ref, start=k)
+        measure = lambda traj: _max_errors(traj, sys, _on_reference(traj, ref),
+                                           start=k)
     elif reference == "analytic":
         if sys.exact_u is None:
             raise ValueError("analytic reference requires exact evaluators")
-        measure = lambda traj: _errors_vs_evaluators(
-            traj, sys, sys.exact_u, sys.exact_p, start=k)
+        measure = lambda traj: _max_errors(
+            traj, sys, _on_evaluators(traj, sys.exact_u, sys.exact_p), start=k)
     else:
         raise ValueError(f"unknown reference {reference!r}")
 
@@ -250,7 +250,8 @@ def balancing_study(sys: CoupledSystem, order: int, taus, exponents,
         cfg = SplitConfig(tol=tol, gamma_target=gamma_target, startup="exact")
         traj = integrate(sys, cfg, sch, tau, t_end, mode=mode,
                          initial_history=_seed_history(sys, k, tau))
-        err_u, err_p = _errors_vs_reference(traj, sys, ref, start=k)
+        err_u, err_p = _max_errors(traj, sys, _on_reference(traj, ref),
+                                   start=k)
         return ErrorRecord(tau=tau, order=k, tol=tol, err_u=err_u,
                            err_p=err_p, mode=mode)
 
@@ -317,8 +318,8 @@ def iteration_study(order: int, omegas, gammas, taus, t_end: float = 1.0,
     def tol_for(sys, tau):
         cfg = SplitConfig(tol=1.0, startup="bootstrap")
         traj = integrate(sys, cfg, sch, tau, t_end, mode="implicit")
-        err_u, err_p = _errors_vs_evaluators(traj, sys, sys.exact_u,
-                                             sys.exact_p, start=k)
+        err_u, err_p = _max_errors(
+            traj, sys, _on_evaluators(traj, sys.exact_u, sys.exact_p), start=k)
         return (err_u + err_p) * tau ** 2.9
 
     cells = {}
@@ -327,14 +328,12 @@ def iteration_study(order: int, omegas, gammas, taus, t_end: float = 1.0,
         for tau in taus:
             tol = tol_for(sys, tau)
             for gamma in gammas:
-                ell = stabilization_for_contraction(sys, gamma, tau,
-                                                    sch.leading)
                 cfg = SplitConfig(tol=tol, gamma_target=gamma,
                                   startup="bootstrap")
                 traj = integrate(sys, cfg, sch, tau, t_end, mode="split")
                 mean = traj.mean_inner()
                 cells[(omega, gamma, tau)] = {
-                    "L": ell, "tol": tol, "mean": mean,
+                    "L": traj.stabilization, "tol": tol, "mean": mean,
                     "rounded": round(mean),
                     "reports": traj.reports,
                 }

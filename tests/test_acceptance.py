@@ -287,8 +287,7 @@ def _single_network(alpha, modulus, mobility):
         norm_u=np.eye(3), norm_p_grad=np.eye(1), norm_p=np.eye(1),
         elastic_coercivity=float(eig[0]),
         elastic_continuity=float(eig[-1]),
-        flow_coercivity=mobility, flow_continuity=mobility,
-        storage_coercivity=1.0 / modulus, storage_continuity=1.0 / modulus,
+        flow_coercivity=mobility, storage_coercivity=1.0 / modulus,
         coupling_bound=alpha,
         load_u=lambda t: np.ones(3),
         load_p=lambda t: np.array([100.0 * math.sin(t)]),

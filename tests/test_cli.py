@@ -100,6 +100,15 @@ class TestMain:
                      "--tol", "1e-9", "--out", str(tmp_path)])
         assert code == EXIT_NUMERICAL
 
+    def test_zero_stabilization_run_that_converges_exits_ok(self, tmp_path):
+        # L = 0 guarantees no contraction factor, so no J_n is predicted
+        code = main(["biot2d", "--n", "4", "--tau", "2^-3", "--L", "0",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        rows = (tmp_path / "biot2d_steps_1.csv").read_text().splitlines()[1:]
+        assert len(rows) == 8
+        assert all(row.split(",")[3] == "" for row in rows)
+
     def test_toy_run_writes_steps_csv(self, tmp_path, capsys):
         code = main(["toy", "--k", "1", "--tau", "2^-3", "--gamma", "0.5",
                      "--out", str(tmp_path)])

@@ -7,12 +7,23 @@ import pytest
 from porosplit import fem2d, splitsolve as ss
 from porosplit.bdf import History, scheme
 from porosplit.splitsolve import (MaxInnerExceeded, NotScalarPressure,
-                                  SolverFailure, SplitConfig, contraction_factor,
-                                  default_stabilization, integrate,
-                                  predict_iterations, step_implicit,
+                                  SolverFailure, SplitConfig, StepperWork,
+                                  contraction_factor, default_stabilization,
+                                  integrate, predict_iterations, step_implicit,
                                   step_split, stabilization_for_contraction,
                                   termination_functional)
 from porosplit.system import CoupledSystem, make_toy
+
+
+def split_step(sys, cfg, sch, tau, hu, hp, t):
+    """``step_split`` with a fresh run object for one step."""
+    return step_split(StepperWork(sys, cfg, sch, tau, "split"), hu, hp, t)
+
+
+def implicit_step(sys, sch, tau, hu, hp, t):
+    """``step_implicit`` with a fresh run object for one step."""
+    work = StepperWork(sys, SplitConfig(tol=1.0), sch, tau, "implicit")
+    return step_implicit(work, sch, hu, hp, t)
 
 
 @pytest.fixture(scope="module")
@@ -74,17 +85,17 @@ class TestStabilization:
 class TestTermination:
     def test_zero_increment(self, toy):
         cfg = SplitConfig(tol=1e-6, stabilization=2.0)
-        val = termination_functional(cfg, toy, np.zeros(3), np.zeros(1),
-                                     0.1, 1.0)
+        work = StepperWork(toy, cfg, scheme(1), 0.1, "split")
+        val = termination_functional(work, np.zeros(3), np.zeros(1))
         assert val == 0.0
 
     def test_hand_value(self):
-        sys = make_toy(1.0)
-        cfg = SplitConfig(tol=1.0, stabilization=2.0,
-                          weights=(2.0, 1.0, 1.0))
-        val = termination_functional(cfg, sys, np.array([1.0, 0.0, 0.0]),
-                                     np.array([1.0]), tau=1.0, xi0=1.0,
-                                     stabilization=2.0)
+        # weights (c_a, c_c, c_b) = (2, 1, 1)
+        sys = dataclasses.replace(make_toy(1.0), elastic_coercivity=2.0)
+        cfg = SplitConfig(tol=1.0, stabilization=2.0)
+        work = StepperWork(sys, cfg, scheme(1), 1.0, "split")
+        val = termination_functional(work, np.array([1.0, 0.0, 0.0]),
+                                     np.array([1.0]))
         # (2/2)*1 + (1 + 2/2)*1 + (1/1)*1*1 = 4
         assert val == pytest.approx(4.0, rel=1e-15)
 
@@ -92,8 +103,9 @@ class TestTermination:
         cfg = SplitConfig(tol=1.0, stabilization=3.0)
         rng = np.random.default_rng(0)
         du, dp = rng.normal(size=3), rng.normal(size=1)
-        v1 = termination_functional(cfg, toy, du, dp, 0.2, 1.5, 3.0)
-        v2 = termination_functional(cfg, toy, 2 * du, 2 * dp, 0.2, 1.5, 3.0)
+        work = StepperWork(toy, cfg, scheme(2), 0.2, "split")  # xi0 = 1.5
+        v1 = termination_functional(work, du, dp)
+        v2 = termination_functional(work, 2 * du, 2 * dp)
         assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
 
 
@@ -123,8 +135,8 @@ class TestStepSplit:
         cfg = SplitConfig(tol=1e-10, stabilization=1.0)
         hu = History(1, [sys.u0])
         hp = History(1, [sys.p0])
-        u_s, p_s, rep = step_split(sys, cfg, sch, tau, hu, hp, tau)
-        u_i, p_i = step_implicit(sys, sch, tau, hu, hp, tau)
+        u_s, p_s, rep = split_step(sys, cfg, sch, tau, hu, hp, tau)
+        u_i, p_i = implicit_step(sys, sch, tau, hu, hp, tau)
         # weak residual coupling (alpha ~ 0): one sweep reaches the fixed point
         np.testing.assert_allclose(p_s, p_i, atol=1e-8)
 
@@ -132,7 +144,7 @@ class TestStepSplit:
         sch = scheme(1)
         cfg = SplitConfig(tol=1e6, stabilization=4.0)
         hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
-        _, _, rep = step_split(toy, cfg, sch, 0.125, hu, hp, 0.125)
+        _, _, rep = split_step(toy, cfg, sch, 0.125, hu, hp, 0.125)
         assert rep.inner_iterations == 1
 
     def test_exact_toy_contraction_ratio(self, toy):
@@ -150,14 +162,14 @@ class TestStepSplit:
         cfg = SplitConfig(tol=1e-12, stabilization=500.0, max_inner=3)
         hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
         with pytest.raises(MaxInnerExceeded):
-            step_split(toy, cfg, sch, 0.125, hu, hp, 0.125)
+            split_step(toy, cfg, sch, 0.125, hu, hp, 0.125)
 
     def test_non_finite_iterate_fails_at_once(self, toy):
         bad = dataclasses.replace(toy, load_p=lambda t: np.array([math.nan]))
         cfg = SplitConfig(tol=1e-6, stabilization=4.0)
         hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
         with pytest.raises(SolverFailure, match="inner iteration 1;"):
-            step_split(bad, cfg, scheme(1), 0.125, hu, hp, 0.125)
+            split_step(bad, cfg, scheme(1), 0.125, hu, hp, 0.125)
 
     @pytest.mark.parametrize("kwargs", [
         {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0},
@@ -175,7 +187,7 @@ class TestStepImplicit:
         sch = scheme(1)
         tau = 0.125
         hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
-        u, p = step_implicit(toy, sch, tau, hu, hp, tau)
+        u, p = implicit_step(toy, sch, tau, hu, hp, tau)
         a = toy.elasticity
         d = toy.coupling
         block = np.zeros((4, 4))
@@ -197,7 +209,7 @@ class TestStepImplicit:
                  [biot8.semidiscrete_p(0.0), biot8.semidiscrete_p(tau)])
         hu = History(2, seeds[0])
         hp = History(2, seeds[1])
-        u, p = step_implicit(biot8, sch, tau, hu, hp, 2 * tau)
+        u, p = implicit_step(biot8, sch, tau, hu, hp, 2 * tau)
         xi = sch.coeffs
         su = xi[1] * seeds[0][1] + xi[2] * seeds[0][0]
         sp = xi[1] * seeds[1][1] + xi[2] * seeds[1][0]
@@ -225,9 +237,7 @@ class TestStepImplicit:
             elastic_coercivity=toy.elastic_coercivity,
             elastic_continuity=toy.elastic_continuity,
             flow_coercivity=toy.flow_coercivity,
-            flow_continuity=toy.flow_continuity,
             storage_coercivity=toy.storage_coercivity,
-            storage_continuity=toy.storage_continuity,
             coupling_bound=toy.coupling_bound,
             load_u=lambda t: f_star, load_p=lambda t: g_star,
             u0=u_star, p0=p_star,
@@ -236,7 +246,7 @@ class TestStepImplicit:
             sch = scheme(k)
             hu = History(k, [u_star] * k)
             hp = History(k, [p_star] * k)
-            u, p = step_implicit(stat, sch, 0.25, hu, hp, 0.25)
+            u, p = implicit_step(stat, sch, 0.25, hu, hp, 0.25)
             np.testing.assert_allclose(u, u_star, atol=1e-10)
             np.testing.assert_allclose(p, p_star, atol=1e-10)
 
@@ -247,7 +257,7 @@ class TestIntegrate:
         cfg = SplitConfig(tol=1e-9, gamma_target=0.5, startup="bootstrap")
         traj = integrate(toy, cfg, sch, 1.0, 1.0, mode="split")
         hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
-        u, p, _ = step_split(toy, cfg, sch, 1.0, hu, hp, 1.0)
+        u, p, _ = split_step(toy, cfg, sch, 1.0, hu, hp, 1.0)
         np.testing.assert_allclose(traj.us[-1], u, rtol=1e-14)
         np.testing.assert_allclose(traj.ps[-1], p, rtol=1e-14)
 
@@ -285,7 +295,7 @@ class TestIntegrate:
         traj = integrate(toy, cfg, sch, tau, 1.0, mode="split")
         # first step must be the implicit BDF-1 step from the initial data
         hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
-        u1, p1 = step_implicit(toy, scheme(1), tau, hu, hp, tau)
+        u1, p1 = implicit_step(toy, scheme(1), tau, hu, hp, tau)
         np.testing.assert_allclose(traj.us[1], u1, rtol=1e-13)
         np.testing.assert_allclose(traj.ps[1], p1, rtol=1e-13)
 
@@ -301,6 +311,53 @@ class TestIntegrate:
                             for t, p in zip(traj.times, traj.ps)))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= k - 0.25
+
+
+class TestStepperWork:
+    @pytest.mark.parametrize("mode, k, startup, factors", [
+        ("split", 2, "bootstrap", 3),      # A, pressure block, BDF-1 block
+        ("implicit", 2, "bootstrap", 2),   # BDF-1 and BDF-2 blocks
+        ("split", 3, "exact", 2),          # A (shared with start-up), pressure
+        ("implicit", 3, "exact", 2),       # A for the start-up, BDF-3 block
+    ])
+    def test_factorizations_per_run(self, biot8, monkeypatch, mode, k,
+                                    startup, factors):
+        calls = []
+
+        def counting(m):
+            calls.append(m.shape)
+            return factorize(m)
+
+        factorize = ss.factorize
+        monkeypatch.setattr(ss, "factorize", counting)
+        cfg = SplitConfig(tol=1e-6, gamma_target=0.4, startup=startup)
+        integrate(biot8, cfg, scheme(k), 0.125, 1.0, mode=mode)
+        assert len(calls) == factors, calls
+
+    def test_trajectory_records_the_resolved_stabilization(self, toy):
+        tau, gamma = 0.125, 0.5
+        cfg = SplitConfig(tol=1e-6, gamma_target=gamma)
+        traj = integrate(toy, cfg, scheme(2), tau, 1.0, mode="split")
+        assert traj.stabilization == stabilization_for_contraction(
+            toy, gamma, tau, scheme(2).leading)
+        cfg = SplitConfig(tol=1e-6, stabilization=3.0)
+        assert integrate(toy, cfg, scheme(1), tau, 1.0).stabilization == 3.0
+
+    def test_implicit_run_resolves_no_stabilization(self, toy):
+        # constants the default rule rejects do not matter to an implicit run
+        bare = dataclasses.replace(toy, elastic_coercivity=math.nan)
+        cfg = SplitConfig(tol=1.0)
+        with pytest.raises(ss.MissingConstants):
+            integrate(bare, cfg, scheme(2), 0.125, 1.0, mode="split")
+        traj = integrate(bare, cfg, scheme(2), 0.125, 1.0, mode="implicit")
+        assert traj.stabilization is None
+
+    def test_zero_stabilization_predicts_nothing(self):
+        sys = fem2d.manufactured_system(4)
+        cfg = SplitConfig(tol=0.125 ** 2.5, stabilization=0.0)
+        traj = integrate(sys, cfg, scheme(1), 0.125, 1.0, mode="split")
+        assert traj.reports
+        assert all(rep.predicted is None for rep in traj.reports)
 
 
 class TestContractionGuarantee:

@@ -181,7 +181,6 @@ class TestNetworkToy:
     def test_storage_coercivity_is_min_inverse_modulus(self):
         sys = make_network_toy(2, [0.4, 0.2], [2.0, 4.0], [1.0, 1.0], {})
         assert sys.storage_coercivity == pytest.approx(0.25)
-        assert sys.storage_continuity == pytest.approx(0.5)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidParameter):
