@@ -4,14 +4,16 @@ Vectors are 1-D float arrays. Operators are either dense ``numpy.ndarray``
 matrices (the toy and network systems) or ``scipy.sparse`` matrices (the
 P1 Biot blocks); both multiply with ``@`` and transpose with ``.T``.
 :func:`factorize` is the one factorization entry point: it picks LAPACK
-LU (``scipy.linalg.lu_factor``/``lu_solve``) for an ndarray and SuperLU
+LU (``scipy.linalg.lu_factor``) for an ndarray and SuperLU
 (``scipy.sparse.linalg.splu``) for a sparse matrix, and applies the same
-relative-pivot singularity check to both.
+relative-pivot singularity check to both. Dense solves call LAPACK
+``getrs`` on the ``lu_factor`` output directly: the same routine
+``scipy.linalg.lu_solve`` ends in, without its per-call Python layers,
+which dominate a solve on the toy's 3x3 blocks.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 
 import numpy as np
@@ -63,7 +65,13 @@ def as_array(op) -> np.ndarray:
 
 
 class Factor:
-    """Reusable LU factorization of a square matrix; built by :func:`factorize`."""
+    """Reusable LU factorization of a square matrix; built by :func:`factorize`.
+
+    A sparse matrix solves through SuperLU. A dense one keeps the
+    ``lu_factor`` output and the LAPACK ``getrs`` routine for its dtype,
+    looked up once here, and each solve is one ``getrs`` call: bit for bit
+    what ``scipy.linalg.lu_solve(..., check_finite=False)`` returns.
+    """
 
     def __init__(self, m):
         if len(m.shape) != 2 or m.shape[0] != m.shape[1]:
@@ -82,11 +90,19 @@ class Factor:
         else:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu_piv = scipy.linalg.lu_factor(np.asarray(m, dtype=float),
-                                                check_finite=False)
-            pivots = np.diag(lu_piv[0])
-            self._solve = functools.partial(scipy.linalg.lu_solve, lu_piv,
-                                            check_finite=False)
+                lu, piv = scipy.linalg.lu_factor(np.asarray(m, dtype=float),
+                                                 check_finite=False)
+            pivots = np.diag(lu)
+            getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
+
+            def solve_dense(rhs):
+                x, info = getrs(lu, piv, rhs, overwrite_b=False)
+                if info != 0:
+                    raise LinalgError(f"getrs: illegal value in argument "
+                                      f"{-info}")
+                return x
+
+            self._solve = solve_dense
         if np.any(np.abs(pivots) <= _PIVOT_REL_TOL * row_mag):
             raise SingularMatrix(
                 f"pivot below {_PIVOT_REL_TOL:g} x max row magnitude")

@@ -174,13 +174,21 @@ def stabilization_for_contraction(sys: CoupledSystem, gamma: float,
     solving for L gives
     ``L = s/(1-gamma) + gamma/(1-gamma) (C + (tau/xi0) B)``.
     """
+    return _exact_stabilization(sys, gamma, tau, xi0,
+                                lambda: factorize(sys.elasticity))
+
+
+def _exact_stabilization(sys: CoupledSystem, gamma: float, tau: float,
+                         xi0: float, elasticity_factor) -> float:
+    """:func:`stabilization_for_contraction`, solving with the factor of A
+    that ``elasticity_factor()`` returns (a run shares its own)."""
     if sys.dim_p != 1:
         raise NotScalarPressure(f"pressure dimension is {sys.dim_p}")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     if tau <= 0.0 or xi0 <= 0.0:
         raise ValueError("tau and xi0 must be positive")
-    s = float((sys.coupling @ factorize(sys.elasticity).solve(
+    s = float((sys.coupling @ elasticity_factor().solve(
         sys.coupling.T @ np.ones(1)))[0])
     c_val = float(sys.storage[0, 0])
     b_val = float(sys.flow_stiffness[0, 0])
@@ -217,9 +225,12 @@ class StepperWork:
     or :func:`default_stabilization`. ``weights`` are the termination
     weights (c_a/2, c_c + L/2, (tau/xi0) c_b). ``gamma`` is the factor
     J_n is predicted from: the target, else sqrt(L/(2 c_c + L)), and None
-    for L = 0. An implicit run leaves all three None. Each factor is built
-    on first use and kept: A (split sweeps, exact start-up), the split
-    pressure block, and one monolithic block per BDF scheme stepped.
+    for L = 0. An implicit run leaves all three None. ``coupling_t`` is
+    D^T, transposed once here: for a sparse D each ``.T`` builds a new
+    matrix object, and the sweeps would build one per displacement solve.
+    Each factor is built on first use and kept: A (split sweeps, exact
+    start-up, the exact L for a gamma target), the split pressure block,
+    and one monolithic block per BDF scheme stepped.
     """
 
     def __init__(self, sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
@@ -230,6 +241,7 @@ class StepperWork:
         self.cfg = cfg
         self.scheme = sch
         self.tau = tau
+        self.coupling_t = sys.coupling.T
         self.stabilization = self.weights = self.gamma = None
         self._factors: dict = {}
         if mode == "implicit":
@@ -240,7 +252,8 @@ class StepperWork:
         elif cfg.gamma_target is None:
             ell = default_stabilization(sys)
         elif sys.dim_p == 1:
-            ell = stabilization_for_contraction(sys, cfg.gamma_target, tau, xi0)
+            ell = _exact_stabilization(sys, cfg.gamma_target, tau, xi0,
+                                       self.elasticity_factor)
         else:
             g2 = cfg.gamma_target ** 2
             ell = 2.0 * sys.storage_coercivity * g2 / (1.0 - g2)
@@ -279,7 +292,7 @@ class StepperWork:
             sys = self.sys
             xi_tau = sch.leading / self.tau
             d = sys.coupling
-            blocks = [[sys.elasticity, -d.T],
+            blocks = [[sys.elasticity, -self.coupling_t],
                       [xi_tau * d, xi_tau * sys.storage + sys.flow_stiffness]]
             if scipy.sparse.issparse(sys.elasticity):
                 return scipy.sparse.bmat(blocks, format="csc")
@@ -308,6 +321,7 @@ def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
     does not pass tol^2 within ``cfg.max_inner`` iterations.
     """
     sys, cfg, sch, tau = work.sys, work.cfg, work.scheme, work.tau
+    d_t = work.coupling_t
     ell = work.stabilization
     xi0 = sch.leading
     p_factor, a_factor = work.pressure_factor(), work.elasticity_factor()
@@ -330,7 +344,7 @@ def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
                  + (xi0 / tau) * ell * (sys.norm_p @ p_prev))
         try:
             p_new = p_factor.solve(rhs_p)
-            u_new = a_factor.solve(sys.coupling.T @ p_new + f_now)
+            u_new = a_factor.solve(d_t @ p_new + f_now)
         except linalg.LinalgError as exc:
             raise SolverFailure(f"inner solve failed: {exc}") from exc
         du = u_new - u_prev
@@ -381,16 +395,34 @@ def step_implicit(work: StepperWork, sch: BdfScheme, hist_u: History,
     return z[:sys.dim_u], z[sys.dim_u:]
 
 
+def _seeds(states, field: str, dim: int) -> list[np.ndarray]:
+    """One field's ``initial_history`` seeds as float vectors, checked."""
+    seeds = [np.asarray(x, dtype=float) for x in states]
+    for index, x in enumerate(seeds):
+        if x.shape != (dim,):
+            raise linalg.DimensionMismatch(
+                f"initial history {field} seed {index} has shape {x.shape}, "
+                f"expected ({dim},)")
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"initial history {field} seed {index} has "
+                             "non-finite entries")
+    return seeds
+
+
 def _startup_states(work: StepperWork, initial_history
                     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """States at t = 0..(k-1) tau seeding the multistep history."""
+    """States at t = 0..(k-1) tau seeding the multistep history.
+
+    Given seeds must have the field's shape (:class:`linalg.DimensionMismatch`
+    otherwise) and finite entries (``ValueError`` otherwise).
+    """
     sys, tau, k = work.sys, work.tau, work.scheme.order
     if initial_history is not None:
         us, ps = initial_history
         if len(us) != k or len(ps) != k:
             raise ValueError(f"initial history must provide {k} states")
-        return [np.asarray(u, dtype=float) for u in us], \
-               [np.asarray(p, dtype=float) for p in ps]
+        return (_seeds(us, "displacement", sys.dim_u),
+                _seeds(ps, "pressure", sys.dim_p))
     if work.cfg.startup == "exact":
         if sys.exact_u is None or sys.exact_p is None:
             raise MissingConstants("exact startup requires exact evaluators")
@@ -400,7 +432,7 @@ def _startup_states(work: StepperWork, initial_history
         # consistency error, which the first step would amplify by 1/tau).
         a_factor = work.elasticity_factor()
         ps = [sys.exact_p(ell * tau) for ell in range(k)]
-        us = [a_factor.solve(sys.coupling.T @ p + sys.load_u(ell * tau))
+        us = [a_factor.solve(work.coupling_t @ p + sys.load_u(ell * tau))
               for ell, p in enumerate(ps)]
         return us, ps
     # bootstrap: implicit steps of increasing order fill the history
@@ -420,8 +452,10 @@ def integrate(sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
 
     ``mode`` selects the split or the monolithic implicit stepper for the
     main loop; startup states for a k-step scheme come from
-    ``initial_history`` when given, otherwise from the configured startup
-    strategy (implicit lower-order bootstrap or exact data). The run's one
+    ``initial_history`` when given (k displacement and k pressure seeds,
+    each of its field's length and finite, checked before the first step),
+    otherwise from the configured startup strategy (implicit lower-order
+    bootstrap or exact data). The run's one
     :class:`StepperWork` resolves L, the termination weights and the
     prediction factor before the first step, and factors each block on its
     first solve; the trajectory records the L used.

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from porosplit.linalg import (DimensionMismatch, SingularMatrix, as_array,
@@ -81,6 +82,52 @@ class _FactorizeCases:
 
 class TestSolveDense(_FactorizeCases):
     kind = staticmethod(np.asarray)
+
+
+class TestDenseSolvePath:
+    """A dense factor solves by one LAPACK ``getrs`` call: exactly what
+    ``scipy.linalg.lu_solve(..., check_finite=False)`` returns."""
+
+    a = np.array([[4.0, 1.0, -2.0],
+                  [1.0, 3.0, 1.0],
+                  [0.5, 1.0, 2.0]])
+
+    def expected(self, rhs):
+        lu_piv = scipy.linalg.lu_factor(self.a, check_finite=False)
+        return scipy.linalg.lu_solve(lu_piv, rhs, check_finite=False)
+
+    @pytest.mark.parametrize("rhs", [
+        np.array([1.0, -2.0, 0.25]),
+        np.arange(6.0).reshape(3, 2) - 2.5,
+        np.arange(12.0).reshape(3, 4)[:, ::2],      # strided view
+        np.arange(9.0)[::3],                        # strided 1-D view
+        np.array([3, -1, 7]),                       # integers
+    ], ids=["1-D", "2-D", "strided-2-D", "strided-1-D", "int"])
+    def test_bit_identical_to_lu_solve(self, rhs):
+        x = factorize(self.a).solve(rhs)
+        assert x.shape == rhs.shape
+        assert np.array_equal(x, self.expected(rhs))
+
+    def test_rhs_left_unmodified(self):
+        rhs = np.array([1.0, 2.0, 3.0])
+        block = np.arange(6.0).reshape(3, 2)
+        factor = factorize(self.a)
+        factor.solve(rhs)
+        factor.solve(block)
+        assert np.array_equal(rhs, [1.0, 2.0, 3.0])
+        assert np.array_equal(block, np.arange(6.0).reshape(3, 2))
+
+    def test_wrong_length_rhs_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            factorize(self.a).solve(np.ones(4))
+
+    def test_does_not_go_through_lu_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense solve called scipy.linalg.lu_solve")
+
+        monkeypatch.setattr(scipy.linalg, "lu_solve", refuse)
+        x = factorize(self.a).solve(np.array([1.0, -2.0, 0.25]))
+        np.testing.assert_allclose(self.a @ x, [1.0, -2.0, 0.25], atol=1e-14)
 
 
 class TestSolveSparse(_FactorizeCases):

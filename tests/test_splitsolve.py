@@ -6,6 +6,7 @@ import pytest
 
 from porosplit import fem2d, splitsolve as ss
 from porosplit.bdf import History, scheme
+from porosplit.linalg import DimensionMismatch
 from porosplit.splitsolve import (MaxInnerExceeded, NotScalarPressure,
                                   SolverFailure, SplitConfig, StepperWork,
                                   contraction_factor, default_stabilization,
@@ -34,6 +35,20 @@ def toy():
 @pytest.fixture(scope="module")
 def biot8():
     return fem2d.manufactured_system(8)
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Shapes of the matrices ``splitsolve`` factors while the test runs."""
+    calls = []
+
+    def counting(m):
+        calls.append(m.shape)
+        return factorize(m)
+
+    factorize = ss.factorize
+    monkeypatch.setattr(ss, "factorize", counting)
+    return calls
 
 
 class TestStabilization:
@@ -299,6 +314,18 @@ class TestIntegrate:
         np.testing.assert_allclose(traj.us[1], u1, rtol=1e-13)
         np.testing.assert_allclose(traj.ps[1], p1, rtol=1e-13)
 
+    def test_wrong_length_seed_is_named(self, toy):
+        seeds = ([toy.u0, toy.u0[:2]], [toy.p0, toy.p0])
+        with pytest.raises(DimensionMismatch, match="displacement seed 1"):
+            integrate(toy, SplitConfig(tol=1e-6), scheme(2), 0.125, 1.0,
+                      initial_history=seeds)
+
+    def test_non_finite_seed_is_named(self, toy):
+        seeds = ([toy.u0, toy.u0], [toy.p0, np.array([math.nan])])
+        with pytest.raises(ValueError, match="pressure seed 1"):
+            integrate(toy, SplitConfig(tol=1e-6), scheme(2), 0.125, 1.0,
+                      initial_history=seeds)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_convergence_order_on_toy(self, toy, k):
         sch = scheme(k)
@@ -320,19 +347,66 @@ class TestStepperWork:
         ("split", 3, "exact", 2),          # A (shared with start-up), pressure
         ("implicit", 3, "exact", 2),       # A for the start-up, BDF-3 block
     ])
-    def test_factorizations_per_run(self, biot8, monkeypatch, mode, k,
+    def test_factorizations_per_run(self, biot8, factor_calls, mode, k,
                                     startup, factors):
-        calls = []
-
-        def counting(m):
-            calls.append(m.shape)
-            return factorize(m)
-
-        factorize = ss.factorize
-        monkeypatch.setattr(ss, "factorize", counting)
         cfg = SplitConfig(tol=1e-6, gamma_target=0.4, startup=startup)
         integrate(biot8, cfg, scheme(k), 0.125, 1.0, mode=mode)
-        assert len(calls) == factors, calls
+        assert len(factor_calls) == factors, factor_calls
+
+    def test_exact_stabilization_solves_with_the_runs_factor(self, toy,
+                                                              factor_calls):
+        # the gamma-target L on a scalar pressure needs A^{-1}: A and the
+        # pressure block are the run's only factorizations
+        cfg = SplitConfig(tol=1e-6, gamma_target=0.5)
+        integrate(toy, cfg, scheme(1), 0.125, 1.0, mode="split")
+        assert factor_calls == [(3, 3), (1, 1)]
+
+    def test_coupling_transposed_once_per_run(self):
+        sys = fem2d.manufactured_system(4)
+        builds = []
+
+        class CountingTranspose(type(sys.coupling)):
+            def transpose(self, *args, **kwargs):
+                builds.append(self.shape)
+                return super().transpose(*args, **kwargs)
+
+        counted = dataclasses.replace(sys,
+                                      coupling=CountingTranspose(sys.coupling))
+        cfg = SplitConfig(tol=1e-6, gamma_target=0.4)
+        traj = integrate(counted, cfg, scheme(2), 0.125, 1.0, mode="split")
+        assert sum(r.inner_iterations for r in traj.reports) > 1
+        assert builds == [sys.coupling.shape]
+
+    @pytest.mark.parametrize("startup", ["bootstrap", "exact"])
+    def test_cached_transpose_is_the_same_arithmetic(self, monkeypatch,
+                                                     startup):
+        sys = fem2d.manufactured_system(4)
+        cfg = SplitConfig(tol=1e-8, gamma_target=0.4, startup=startup)
+        cached = integrate(sys, cfg, scheme(2), 0.125, 1.0, mode="split")
+
+        class FreshTranspose:
+            """D^T built anew for every product."""
+
+            def __init__(self, d):
+                self.d = d
+
+            def __matmul__(self, x):
+                return self.d.T @ x
+
+            def __neg__(self):
+                return -self.d.T
+
+        init = StepperWork.__init__
+
+        def fresh(self, sys, *args):
+            init(self, sys, *args)
+            self.coupling_t = FreshTranspose(sys.coupling)
+
+        monkeypatch.setattr(StepperWork, "__init__", fresh)
+        rebuilt = integrate(sys, cfg, scheme(2), 0.125, 1.0, mode="split")
+        for a, b in zip(cached.us + cached.ps, rebuilt.us + rebuilt.ps,
+                        strict=True):
+            assert np.array_equal(a, b)
 
     def test_trajectory_records_the_resolved_stabilization(self, toy):
         tau, gamma = 0.125, 0.5
