@@ -1,4 +1,4 @@
-"""Backward differentiation formulae: coefficients, history, discrete derivative.
+"""Backward differentiation formulae: coefficients, schemes, history.
 
 The BDF-k coefficients are generated from the generating polynomial
 ``sum_{l=1..k} (1-s)^l / l`` in exact rational arithmetic and cross-checked
@@ -27,7 +27,6 @@ __all__ = [
     "scheme",
     "History",
     "history_sum",
-    "discrete_derivative",
 ]
 
 MAX_ORDER = 5
@@ -127,7 +126,6 @@ class History:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
         self._items: list[np.ndarray] = []
-        self.steps_accepted = 0
         if values is not None:
             for v in values:
                 self.push(v)
@@ -138,11 +136,6 @@ class History:
             raise DimensionMismatch("history entries must share one shape")
         self._items.insert(0, value)
         del self._items[self.capacity:]
-        self.steps_accepted += 1
-
-    @property
-    def complete(self) -> bool:
-        return len(self._items) == self.capacity
 
     def items(self) -> tuple[np.ndarray, ...]:
         """Entries newest-first."""
@@ -155,9 +148,6 @@ class History:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def __iter__(self):
-        return iter(self._items)
 
 
 def history_sum(sch: BdfScheme, hist: History) -> np.ndarray:
@@ -172,17 +162,3 @@ def history_sum(sch: BdfScheme, hist: History) -> np.ndarray:
         )
     return sum(c * y for c, y in zip(sch.coeffs[1:], hist.items()))
 
-
-def discrete_derivative(sch: BdfScheme, tau: float, newest: np.ndarray,
-                        hist: History) -> np.ndarray:
-    """Evaluate ``(1/tau) (xi_0 y^n + sum_l xi_l y^{n-l})``.
-
-    ``newest`` is y^n; ``hist`` holds y^{n-1}..y^{n-k} newest-first.
-    """
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    past = history_sum(sch, hist)
-    newest = np.asarray(newest, dtype=float)
-    if hist.newest().shape != newest.shape:
-        raise DimensionMismatch("history entry shape differs from newest")
-    return (sch.coeffs[0] * newest + past) / tau

@@ -242,11 +242,11 @@ class RunConfig:
         for k in self.orders:
             if not 1 <= k <= 5:
                 raise ValidationError(f"k must be in 1..5, got {k}")
-        if self.tau is not None:
-            steps = self.t_end / self.tau
+        for tau in ([] if self.tau is None else [self.tau]) + (self.taus or []):
+            steps = self.t_end / tau
             if abs(steps - round(steps)) > 1e-9:
                 raise ValidationError(
-                    f"tau={self.tau:g} does not divide T={self.t_end:g}")
+                    f"tau={tau:g} does not divide T={self.t_end:g}")
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
             raise ValidationError("gamma must lie in (0, 1)")
 
@@ -397,9 +397,7 @@ def _split_config(cfg: RunConfig, tau: float) -> splitsolve.SplitConfig:
     else:
         tol = tau ** (cfg.order + 1.5)
     return splitsolve.SplitConfig(
-        tol=tol, gamma_target=cfg.gamma, stabilization=cfg.stabilization,
-        startup="bootstrap",
-    )
+        tol=tol, gamma_target=cfg.gamma, stabilization=cfg.stabilization)
 
 
 def _run_single(cfg: RunConfig) -> int:
@@ -446,13 +444,11 @@ def _run_balance(cfg: RunConfig) -> int:
     exponents = [k, k + 0.5, k + 1.0, k + 1.5, k + 2.0]
     result = studies.balancing_study(sys_obj, k, cfg.taus, exponents,
                                      t_end=cfg.t_end)
-    avg = studies.average_iteration_table(sys_obj, k, cfg.taus,
-                                          t_end=cfg.t_end)
     out = cfg.resolved_out()
     path = out / f"balancing_{k}.csv"
     _write_atomic(path, result.report.to_csv())
     path_avg = out / f"iteration_averages_{k}.csv"
-    _write_atomic(path_avg, avg.report.to_csv())
+    _write_atomic(path_avg, result.iteration_averages.to_csv())
     flags = ", ".join(f"tau={tau:g}:{'ok' if ok else 'OFF'}"
                       for tau, ok in sorted(result.balanced_ok.items(),
                                             reverse=True))

@@ -282,8 +282,8 @@ def assemble_biot(grid: Grid2D, params: BiotParameters,
     ||grad u||, so a(u, u) = mu ||grad u||^2 + (mu + lam) ||div u||^2 lies
     between mu ||grad u||^2 and (2 mu + lam) ||grad u||^2, and
     d(u, q) = alpha (div u, q) <= alpha ||grad u|| ||q||. The flow and
-    storage forms are multiples of their norms. Sharp discrete values are
-    available through :func:`porosplit.system.exact_discrete_constants`.
+    storage forms are multiples of their norms. The test suite checks that
+    they bracket the sharp discrete values on small grids.
     """
     ni = grid.interior_count
     p_dofs = grid.interior_map()[grid.triangles()]

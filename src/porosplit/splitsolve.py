@@ -80,14 +80,14 @@ class SplitConfig:
     At most one of ``stabilization`` (explicit L) and ``gamma_target`` may
     be given; with neither, the coercivity-based default L is used. The
     config only records the request: :class:`StepperWork` turns it into L
-    once per run.
+    once per run. Start-up is not a knob: :func:`integrate` starts from
+    the seeds it is given, else from an implicit bootstrap.
     """
 
     tol: float
     stabilization: Optional[float] = None
     gamma_target: Optional[float] = None
     max_inner: int = 200
-    startup: str = "bootstrap"       # or "exact"
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -102,8 +102,6 @@ class SplitConfig:
             raise ValueError("gamma_target must lie in (0, 1)")
         if self.stabilization is not None and self.gamma_target is not None:
             raise ValueError("give either stabilization or gamma_target, not both")
-        if self.startup not in ("bootstrap", "exact"):
-            raise ValueError(f"unknown startup {self.startup!r}")
 
 
 @dataclass
@@ -228,9 +226,9 @@ class StepperWork:
     for L = 0. An implicit run leaves all three None. ``coupling_t`` is
     D^T, transposed once here: for a sparse D each ``.T`` builds a new
     matrix object, and the sweeps would build one per displacement solve.
-    Each factor is built on first use and kept: A (split sweeps, exact
-    start-up, the exact L for a gamma target), the split pressure block,
-    and one monolithic block per BDF scheme stepped.
+    Each factor is built on first use and kept: A (split sweeps, the exact
+    L for a gamma target), the split pressure block, and one monolithic
+    block per BDF scheme stepped.
     """
 
     def __init__(self, sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
@@ -411,7 +409,9 @@ def _seeds(states, field: str, dim: int) -> list[np.ndarray]:
 
 def _startup_states(work: StepperWork, initial_history
                     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """States at t = 0..(k-1) tau seeding the multistep history.
+    """States at t = 0..(k-1) tau seeding the multistep history: the
+    given seeds, else implicit steps of increasing order from the initial
+    data (the bootstrap).
 
     Given seeds must have the field's shape (:class:`linalg.DimensionMismatch`
     otherwise) and finite entries (``ValueError`` otherwise).
@@ -423,19 +423,6 @@ def _startup_states(work: StepperWork, initial_history
             raise ValueError(f"initial history must provide {k} states")
         return (_seeds(us, "displacement", sys.dim_u),
                 _seeds(ps, "pressure", sys.dim_p))
-    if work.cfg.startup == "exact":
-        if sys.exact_u is None or sys.exact_p is None:
-            raise MissingConstants("exact startup requires exact evaluators")
-        # Seed pressures verbatim; re-solve the elliptic equation per seed so
-        # the displacement history sits on the algebraic constraint manifold
-        # (interpolants of the analytic fields violate it by the spatial
-        # consistency error, which the first step would amplify by 1/tau).
-        a_factor = work.elasticity_factor()
-        ps = [sys.exact_p(ell * tau) for ell in range(k)]
-        us = [a_factor.solve(work.coupling_t @ p + sys.load_u(ell * tau))
-              for ell, p in enumerate(ps)]
-        return us, ps
-    # bootstrap: implicit steps of increasing order fill the history
     us, ps = [sys.u0.copy()], [sys.p0.copy()]
     for n in range(1, k):
         u, p = step_implicit(work, make_scheme(n), History(n, us[-n:]),
@@ -451,14 +438,13 @@ def integrate(sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
     """Run the stepper over [0, t_end] with constant step tau.
 
     ``mode`` selects the split or the monolithic implicit stepper for the
-    main loop; startup states for a k-step scheme come from
+    main loop. The start-up states of a k-step scheme come from
     ``initial_history`` when given (k displacement and k pressure seeds,
     each of its field's length and finite, checked before the first step),
-    otherwise from the configured startup strategy (implicit lower-order
-    bootstrap or exact data). The run's one
-    :class:`StepperWork` resolves L, the termination weights and the
-    prediction factor before the first step, and factors each block on its
-    first solve; the trajectory records the L used.
+    otherwise from implicit steps of orders 1..k-1 (the bootstrap). The
+    run's one :class:`StepperWork` resolves L, the termination weights and
+    the prediction factor before the first step, and factors each block on
+    its first solve; the trajectory records the L used.
     """
     if tau <= 0.0 or t_end <= 0.0:
         raise ValueError("tau and t_end must be positive")

@@ -1,25 +1,31 @@
 """Experiment drivers: convergence orders, tolerance balancing, iteration counts.
 
 Temporal orders at this scale are measured against the dynamics of the
-spatially discretized system itself (a fine implicit run, with histories
-seeded from the exact solution of the discretized system where one is
-available). Comparing against the analytic solution instead would bury
-the high-order temporal error under the fixed spatial error of the coarse
+spatially discretized system itself: a fine implicit run, with every
+history seeded from the exact solution of the discretized system.
+Comparing against the analytic solution instead would bury the
+high-order temporal error under the fixed spatial error of the coarse
 elements, so that comparison is offered but not the default.
+
+A study makes each run once. One runner integrates a seeded run and
+measures it into an :class:`ErrorRecord`, which also keeps the run's
+mean inner count, so :func:`balancing_study` gives the error table and
+the iteration averages from the same runs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .bdf import scheme as make_scheme
+from .bdf import BdfScheme, scheme as make_scheme
 from .linalg import weighted_norm_sq
 from .splitsolve import SplitConfig, Trajectory, integrate
-from .system import CoupledSystem
+from .system import CoupledSystem, make_toy, solution_evaluators, time_shifted
 
 __all__ = [
     "ErrorRecord",
@@ -28,11 +34,9 @@ __all__ = [
     "ConvergenceResult",
     "BalancingResult",
     "IterationResult",
-    "AverageIterationResult",
     "convergence_study",
     "balancing_study",
     "iteration_study",
-    "average_iteration_table",
 ]
 
 CSV_SCHEMAS = {
@@ -45,7 +49,8 @@ CSV_SCHEMAS = {
 
 @dataclass(frozen=True)
 class ErrorRecord:
-    """Max-over-time errors of one run against the study reference."""
+    """Max-over-time errors of one run against the study reference, and
+    the run's mean inner iterations per step (NaN for an implicit run)."""
 
     tau: float
     order: int
@@ -53,10 +58,20 @@ class ErrorRecord:
     err_u: float
     err_p: float
     mode: str
+    mean_inner: float
 
     @property
     def combined(self) -> float:
         return self.err_u + self.err_p
+
+
+def _check_halving(taus) -> None:
+    """Reject a tau grid that gives no observed order: fewer than two
+    steps, or a step that is not half the one before."""
+    if len(taus) < 2:
+        raise ValueError(f"an observed order needs at least two taus, got {taus}")
+    if any(abs(a / b - 2.0) > 1e-9 for a, b in zip(taus, taus[1:])):
+        raise ValueError(f"taus must decrease by factors of two, got {taus}")
 
 
 @dataclass
@@ -67,10 +82,10 @@ class EocTable:
     errors: list[float]
 
     def __post_init__(self):
-        ratios = [self.taus[i] / self.taus[i + 1]
-                  for i in range(len(self.taus) - 1)]
-        if any(abs(r - 2.0) > 1e-9 for r in ratios):
-            raise ValueError("taus must decrease by factors of two")
+        if len(self.errors) != len(self.taus):
+            raise ValueError(f"{len(self.taus)} taus but "
+                             f"{len(self.errors)} errors")
+        _check_halving(self.taus)
 
     @property
     def pairwise_orders(self) -> list[float]:
@@ -103,13 +118,20 @@ class StudyReport:
 
 
 def _seed_history(sys: CoupledSystem, k: int, tau: float):
-    """Histories on the discretized system's own flow when available."""
-    u_eval = sys.semidiscrete_u or sys.exact_u
-    p_eval = sys.semidiscrete_p or sys.exact_p
-    if u_eval is None or p_eval is None:
-        return None
+    """The k start-up states of a study run, on the system's own flow."""
+    # The semidiscrete displacement solves A u = D^T p + f, so the seeds sit
+    # on the algebraic constraint manifold (an interpolant of the analytic
+    # field misses it by the spatial consistency error, which the first step
+    # would amplify by 1/tau).
+    u_eval, p_eval = solution_evaluators(sys, "seeding a study run")
     return ([u_eval(ell * tau) for ell in range(k)],
             [p_eval(ell * tau) for ell in range(k)])
+
+
+def _shifted(sys: CoupledSystem, t_start: float) -> CoupledSystem:
+    """The study's system: ``sys`` with its clock started at ``t_start``
+    when that is positive."""
+    return time_shifted(sys, t_start) if t_start > 0.0 else sys
 
 
 def _max_errors(traj: Trajectory, sys: CoupledSystem, state_at,
@@ -142,10 +164,23 @@ def _on_reference(traj: Trajectory, ref: Trajectory):
 
 def _reference_run(sys: CoupledSystem, k: int, tau_ref: float,
                    t_end: float) -> Trajectory:
-    cfg = SplitConfig(tol=1.0, startup="exact")
+    cfg = SplitConfig(tol=1.0)
     seeds = _seed_history(sys, k, tau_ref)
     return integrate(sys, cfg, make_scheme(k), tau_ref, t_end,
                      mode="implicit", initial_history=seeds)
+
+
+def _run(sys: CoupledSystem, sch: BdfScheme, t_end: float,
+         gamma_target: float, states, tau: float, mode: str,
+         tol: float) -> ErrorRecord:
+    """One seeded study run, measured over the steps n >= k against the
+    reference states ``states(traj)`` gives for its trajectory."""
+    cfg = SplitConfig(tol=tol, gamma_target=gamma_target)
+    traj = integrate(sys, cfg, sch, tau, t_end, mode=mode,
+                     initial_history=_seed_history(sys, sch.order, tau))
+    err_u, err_p = _max_errors(traj, sys, states(traj), start=sch.order)
+    return ErrorRecord(tau=tau, order=sch.order, tol=tol, err_u=err_u,
+                       err_p=err_p, mode=mode, mean_inner=traj.mean_inner())
 
 
 @dataclass
@@ -169,40 +204,32 @@ def convergence_study(sys: CoupledSystem, order: int, taus, tol_exponent=None,
     baselines are recorded alongside the split rows. A positive
     ``t_start`` measures on [t_start, t_start + t_end], past the initial
     layer that rough initial data excites in the stiff discrete modes
-    (those pollute high-order measurements at coarse steps).
+    (those pollute high-order measurements at coarse steps). The tau
+    grid must have at least two steps, each half the one before; it is
+    checked before the first run.
     """
     taus = sorted(taus, reverse=True)
+    _check_halving(taus)
     if fixed_tol is None and tol_exponent is None:
         raise ValueError("give tol_exponent or fixed_tol")
-    if t_start > 0.0:
-        from .system import time_shifted
-        sys = time_shifted(sys, t_start)
+    sys = _shifted(sys, t_start)
     k = order
-    sch = make_scheme(k)
 
     if reference == "fine-implicit":
         ref = _reference_run(sys, k, min(taus) / 8.0, t_end)
-        measure = lambda traj: _max_errors(traj, sys, _on_reference(traj, ref),
-                                           start=k)
+        states = lambda traj: _on_reference(traj, ref)
     elif reference == "analytic":
         if sys.exact_u is None:
             raise ValueError("analytic reference requires exact evaluators")
-        measure = lambda traj: _max_errors(
-            traj, sys, _on_evaluators(traj, sys.exact_u, sys.exact_p), start=k)
+        states = lambda traj: _on_evaluators(traj, sys.exact_u, sys.exact_p)
     else:
         raise ValueError(f"unknown reference {reference!r}")
 
-    def run_cell(tau, mode):
-        tol = fixed_tol if fixed_tol is not None else tau ** tol_exponent
-        cfg = SplitConfig(tol=tol, gamma_target=gamma_target, startup="exact")
-        traj = integrate(sys, cfg, sch, tau, t_end, mode=mode,
-                         initial_history=_seed_history(sys, k, tau))
-        err_u, err_p = measure(traj)
-        return ErrorRecord(tau=tau, order=k, tol=tol, err_u=err_u,
-                           err_p=err_p, mode=mode)
-
-    records = [run_cell(tau, mode) for tau in taus
-               for mode in ("split", "implicit")]
+    run = functools.partial(_run, sys, make_scheme(k), t_end, gamma_target,
+                            states)
+    records = [run(tau, mode, fixed_tol if fixed_tol is not None
+                   else tau ** tol_exponent)
+               for tau in taus for mode in ("split", "implicit")]
     split_recs = [r for r in records if r.mode == "split"]
     eoc = EocTable(taus=[r.tau for r in split_recs],
                    errors=[r.combined for r in split_recs])
@@ -220,41 +247,34 @@ class BalancingResult:
     implicit_errors: dict    # tau -> combined implicit error
     balanced_ok: dict        # tau -> split(s = k + 3/2) within factor of implicit
     report: StudyReport
+    iteration_averages: StudyReport   # mean inner count per (s, tau)
 
 
 def balancing_study(sys: CoupledSystem, order: int, taus, exponents,
                     t_end: float = 1.0, t_start: float = 0.0,
                     factor: float = 2.0, gamma_target: float = 0.4
                     ) -> BalancingResult:
-    """Error versus tolerance-exponent sweep against the implicit baseline.
+    """Error and inner sweeps versus the tolerance exponent, against the
+    implicit baseline.
 
     For each tau the implicit same-tau error is recorded; each split run
     with tol = tau**s joins it in one record. The flag per tau marks
     whether the s = k + 3/2 run stays within ``factor`` of the baseline.
+    The same split runs give the iteration averages: their mean inner
+    count per (s, tau), s-major.
     """
     k = order
-    sch = make_scheme(k)
-    if t_start > 0.0:
-        from .system import time_shifted
-        sys = time_shifted(sys, t_start)
     taus = sorted(taus, reverse=True)
     exponents = sorted(exponents)
     balanced_s = k + 1.5
     if not any(abs(s - balanced_s) < 1e-12 for s in exponents) or \
             not any(abs(s - k) < 1e-12 for s in exponents):
         raise ValueError("exponents must include k and k + 3/2")
+    sys = _shifted(sys, t_start)
 
     ref = _reference_run(sys, k, min(taus) / 8.0, t_end)
-
-    def run(tau, mode, tol):
-        cfg = SplitConfig(tol=tol, gamma_target=gamma_target, startup="exact")
-        traj = integrate(sys, cfg, sch, tau, t_end, mode=mode,
-                         initial_history=_seed_history(sys, k, tau))
-        err_u, err_p = _max_errors(traj, sys, _on_reference(traj, ref),
-                                   start=k)
-        return ErrorRecord(tau=tau, order=k, tol=tol, err_u=err_u,
-                           err_p=err_p, mode=mode)
-
+    run = functools.partial(_run, sys, make_scheme(k), t_end, gamma_target,
+                            lambda traj: _on_reference(traj, ref))
     implicit_errors = {tau: run(tau, "implicit", 1.0).combined for tau in taus}
     records = {(tau, s): run(tau, "split", tau ** s)
                for tau in taus for s in exponents}
@@ -269,9 +289,15 @@ def balancing_study(sys: CoupledSystem, order: int, taus, exponents,
         rows=[(k, tau, s, records[(tau, s)].combined, implicit_errors[tau])
               for tau in taus for s in exponents],
     )
+    averages = StudyReport(
+        columns=CSV_SCHEMAS["iteration_averages"],
+        rows=[(k, tau, s, records[(tau, s)].mean_inner)
+              for s in exponents for tau in taus],
+    )
     return BalancingResult(order=k, records=records,
                            implicit_errors=implicit_errors,
-                           balanced_ok=balanced_ok, report=report)
+                           balanced_ok=balanced_ok, report=report,
+                           iteration_averages=averages)
 
 
 @dataclass
@@ -309,14 +335,12 @@ def iteration_study(order: int, omegas, gammas, taus, t_end: float = 1.0,
     gamma = 1/2, and no constant factor fits the table with it. The rule
     leaves the gamma = 0.1 rows about one sweep below the table.
     """
-    from .system import make_toy
-
     build = make_system or make_toy
     k = order
     sch = make_scheme(k)
 
     def tol_for(sys, tau):
-        cfg = SplitConfig(tol=1.0, startup="bootstrap")
+        cfg = SplitConfig(tol=1.0)
         traj = integrate(sys, cfg, sch, tau, t_end, mode="implicit")
         err_u, err_p = _max_errors(
             traj, sys, _on_evaluators(traj, sys.exact_u, sys.exact_p), start=k)
@@ -328,8 +352,7 @@ def iteration_study(order: int, omegas, gammas, taus, t_end: float = 1.0,
         for tau in taus:
             tol = tol_for(sys, tau)
             for gamma in gammas:
-                cfg = SplitConfig(tol=tol, gamma_target=gamma,
-                                  startup="bootstrap")
+                cfg = SplitConfig(tol=tol, gamma_target=gamma)
                 traj = integrate(sys, cfg, sch, tau, t_end, mode="split")
                 mean = traj.mean_inner()
                 cells[(omega, gamma, tau)] = {
@@ -345,46 +368,3 @@ def iteration_study(order: int, omegas, gammas, taus, t_end: float = 1.0,
     )
     return IterationResult(order=k, cells=cells, report=report)
 
-
-@dataclass
-class AverageIterationResult:
-    order: int
-    cells: dict              # (s, tau) -> mean inner iterations
-    report: StudyReport
-
-    def monotone_in_exponent(self) -> bool:
-        ss = sorted({s for s, _ in self.cells})
-        ts = sorted({t for _, t in self.cells})
-        return all(self.cells[(ss[i], t)] <= self.cells[(ss[i + 1], t)] + 1e-9
-                   for t in ts for i in range(len(ss) - 1))
-
-    def monotone_in_tau(self) -> bool:
-        ss = sorted({s for s, _ in self.cells})
-        ts = sorted({t for _, t in self.cells}, reverse=True)
-        return all(self.cells[(s, ts[i])] <= self.cells[(s, ts[i + 1])] + 1e-9
-                   for s in ss for i in range(len(ts) - 1))
-
-
-def average_iteration_table(sys: CoupledSystem, order: int, taus,
-                            exponents=None, t_end: float = 1.0,
-                            gamma_target: float = 0.4
-                            ) -> AverageIterationResult:
-    """Mean inner iterations per (tolerance exponent, tau) cell."""
-    k = order
-    sch = make_scheme(k)
-    if exponents is None:
-        exponents = (k + 1.0, k + 1.5, k + 2.0)
-
-    def cell(s, tau):
-        cfg = SplitConfig(tol=tau ** s, gamma_target=gamma_target,
-                          startup="exact" if sys.exact_u else "bootstrap")
-        traj = integrate(sys, cfg, sch, tau, t_end, mode="split",
-                         initial_history=_seed_history(sys, k, tau))
-        return traj.mean_inner()
-
-    cells = {(s, tau): cell(s, tau) for s in exponents for tau in taus}
-    report = StudyReport(
-        columns=CSV_SCHEMAS["iteration_averages"],
-        rows=[(k, tau, s, cells[(s, tau)]) for s in exponents for tau in taus],
-    )
-    return AverageIterationResult(order=k, cells=cells, report=report)

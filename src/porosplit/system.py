@@ -31,8 +31,8 @@ __all__ = [
     "make_toy",
     "make_network_toy",
     "semidiscrete_solution",
+    "solution_evaluators",
     "time_shifted",
-    "exact_discrete_constants",
 ]
 
 
@@ -188,6 +188,19 @@ def semidiscrete_solution(sys: CoupledSystem, shape: tuple[str, float]):
     return u_of_t, p_of_t
 
 
+def solution_evaluators(sys: CoupledSystem, use: str):
+    """The (u, p) evaluators of the discretized system's own flow, else of
+    the analytic solution; :class:`InvalidParameter` naming ``use`` and
+    the missing evaluators when the system has neither pair."""
+    u_eval = sys.semidiscrete_u or sys.exact_u
+    p_eval = sys.semidiscrete_p or sys.exact_p
+    if u_eval is None or p_eval is None:
+        raise InvalidParameter(
+            f"{use} needs solution evaluators: the system has neither "
+            "semidiscrete_u/semidiscrete_p nor exact_u/exact_p")
+    return u_eval, p_eval
+
+
 def time_shifted(sys: CoupledSystem, t0: float) -> CoupledSystem:
     """View of the system with the clock started at ``t0``.
 
@@ -196,10 +209,7 @@ def time_shifted(sys: CoupledSystem, t0: float) -> CoupledSystem:
     measure orders past the initial layer that rough initial data excites
     in the stiff modes of the discretized system.
     """
-    u_eval = sys.semidiscrete_u or sys.exact_u
-    p_eval = sys.semidiscrete_p or sys.exact_p
-    if u_eval is None or p_eval is None:
-        raise InvalidParameter("time shift needs solution evaluators")
+    u_eval, p_eval = solution_evaluators(sys, "time shift")
 
     def shift(fn):
         return None if fn is None else (lambda t: fn(t + t0))
@@ -211,34 +221,6 @@ def time_shifted(sys: CoupledSystem, t0: float) -> CoupledSystem:
         semidiscrete_u=shift(sys.semidiscrete_u),
         semidiscrete_p=shift(sys.semidiscrete_p),
         label=f"{sys.label}@t0={t0:g}")
-
-
-def exact_discrete_constants(sys: CoupledSystem) -> dict[str, float]:
-    """Extreme generalized eigenvalues of the forms against their norms.
-
-    Intended for small systems; returns the sharp values of the five
-    constants a :class:`CoupledSystem` carries: the coercivities of the
-    elastic, flow and storage forms, the elastic continuity and the
-    coupling bound.
-    """
-    def extremes(op, norm):
-        vals = scipy.linalg.eigh(as_array(op), as_array(norm),
-                                 eigvals_only=True)
-        return float(vals[0]), float(vals[-1])
-
-    c_a, big_a = extremes(sys.elasticity, sys.norm_u)
-    c_b = extremes(sys.flow_stiffness, sys.norm_p_grad)[0]
-    c_c = extremes(sys.storage, sys.norm_p)[0]
-    # sharp coupling bound: sup d(u,p) / (|u|_V |p|_H) via a generalized SVD
-    nu = scipy.linalg.cholesky(as_array(sys.norm_u), lower=False)
-    nh = scipy.linalg.cholesky(as_array(sys.norm_p), lower=False)
-    core = np.linalg.solve(nh.T, as_array(sys.coupling)) @ np.linalg.inv(nu)
-    c_d = float(np.linalg.svd(core, compute_uv=False)[0])
-    return {
-        "elastic_coercivity": c_a, "elastic_continuity": big_a,
-        "flow_coercivity": c_b, "storage_coercivity": c_c,
-        "coupling_bound": c_d,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,7 @@ def contraction_runs():
         sch = scheme(k)
         for gamma in (0.5, 0.1):
             for tau in (2.0 ** -3, 2.0 ** -5):
-                cfg = SplitConfig(tol=1e-3, gamma_target=gamma,
-                                  startup="bootstrap")
+                cfg = SplitConfig(tol=1e-3, gamma_target=gamma)
                 traj = integrate(toy, cfg, sch, tau, 1.0, mode="split")
                 runs.append((f"toy k={k} gamma={gamma} tau={tau:g}", cfg.tol,
                              gamma, traj.reports))
@@ -257,8 +256,7 @@ def test_criterion_09_fixed_point_consistency(biot8):
     worst = 0.0
     for sys_obj, tau in ((make_toy(2.0), 2.0 ** -3), (biot8, 2.0 ** -3)):
         for k in (1, 2):
-            cfg = SplitConfig(tol=1e-13, gamma_target=0.4,
-                              startup="bootstrap", max_inner=500)
+            cfg = SplitConfig(tol=1e-13, gamma_target=0.4, max_inner=500)
             t_split = integrate(sys_obj, cfg, scheme(k), tau, 1.0,
                                 mode="split")
             t_impl = integrate(sys_obj, cfg, scheme(k), tau, 1.0,

@@ -6,11 +6,10 @@ import pytest
 
 from porosplit import bdf
 from porosplit.bdf import (BdfScheme, History, IncompleteHistory,
-                           UnsupportedOrder, coefficients,
-                           discrete_derivative, exact_coefficients,
+                           UnsupportedOrder, coefficients, exact_coefficients,
                            history_sum, scheme)
 from porosplit.linalg import DimensionMismatch
-from verification import derivative_defect
+from verification import derivative_defect, discrete_derivative
 
 TABLE = {
     1: (Fraction(1), Fraction(-1)),
@@ -89,13 +88,6 @@ class TestHistory:
         assert [v[0] for v in h.items()] == [2.0, 1.0]
         h.push(np.array([3.0]))
         assert [v[0] for v in h.items()] == [3.0, 2.0]
-        assert h.steps_accepted == 3
-
-    def test_complete_flag(self):
-        h = History(3, [np.zeros(2), np.zeros(2)])
-        assert not h.complete
-        h.push(np.zeros(2))
-        assert h.complete
 
     def test_shape_guard(self):
         h = History(2, [np.zeros(2)])

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from porosplit import cli, fem2d
+from porosplit import cli, fem2d, studies
 from porosplit.bdf import scheme
 from porosplit.linalg import weighted_norm_sq
 from porosplit.splitsolve import SplitConfig, integrate
@@ -170,6 +170,55 @@ class TestMain:
         assert header == "k,omega,gamma,tau,L,mean_Jn"
 
 
+class TestStudySubcommands:
+    def test_balance_writes_both_tables_from_one_set_of_runs(
+            self, tmp_path, monkeypatch, study_runs):
+        results = []
+        study = studies.balancing_study
+
+        def keep(*args, **kwargs):
+            results.append(study(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(studies, "balancing_study", keep)
+        assert main(["balance", "--n", "4", "--taus", "2^-3,2^-4",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        # one reference run, then per tau one implicit and five split runs
+        assert len(study_runs) == 1 + 2 * (1 + 5)
+        (res,) = results
+        assert (tmp_path / "balancing_1.csv").read_text() \
+            == res.report.to_csv()
+        lines = (tmp_path / "iteration_averages_1.csv").read_text() \
+            .splitlines()
+        assert lines[0] == "k,tau,s,mean_Jn"
+        rows = [tuple(float(v) for v in line.split(",")[1:])
+                for line in lines[1:]]
+        assert rows == [(tau, s, res.records[(tau, s)].mean_inner)
+                        for s in (1, 1.5, 2, 2.5, 3) for tau in (2 ** -3,
+                                                                 2 ** -4)]
+
+    @pytest.mark.parametrize("taus", ["2^-3", "2^-3,2^-3"])
+    def test_convergence_needs_a_halving_tau_grid(self, taus, tmp_path,
+                                                  capsys, study_runs):
+        code = main(["convergence", "--problem", "toy", "--taus", taus,
+                     "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "taus" in capsys.readouterr().err
+        assert study_runs == []
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["convergence", "--problem", "toy", "--taus", "0.3,0.15"],
+        ["balance", "--n", "4", "--taus", "0.3"],
+        ["iters", "--taus", "0.3"],
+    ])
+    def test_a_tau_that_does_not_divide_t_is_named(self, argv, tmp_path,
+                                                   capsys, study_runs):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert "tau=0.3 does not divide T=1" in capsys.readouterr().err
+        assert study_runs == []
+
+
 def _exit_code(argv):
     try:
         return main(argv)
@@ -199,8 +248,7 @@ class TestProblemDispatch:
         sys_obj = fem2d.manufactured_system(4)
         tau = 2.0 ** -3
         traj = integrate(sys_obj, SplitConfig(tol=tau ** 2.5,
-                                              gamma_target=0.4,
-                                              startup="bootstrap"),
+                                              gamma_target=0.4),
                          scheme(1), tau, 1.0)
         diff = traj.ps[-1] - sys_obj.exact_p(1.0)
         want = math.sqrt(weighted_norm_sq(sys_obj.norm_p, diff))

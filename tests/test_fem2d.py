@@ -12,9 +12,9 @@ from porosplit.fem2d import (BiotParameters, Grid2D, assemble_biot,
                              interpolate, manufactured, manufactured_system)
 from porosplit.linalg import factorize, weighted_norm_sq
 from porosplit.splitsolve import SplitConfig, integrate
-from porosplit.system import (InvalidParameter, exact_discrete_constants,
-                              semidiscrete_solution)
-from verification import pde_residual_fd, residual_coupled
+from porosplit.system import InvalidParameter, semidiscrete_solution
+from verification import (exact_discrete_constants, pde_residual_fd,
+                          residual_coupled)
 
 
 @pytest.fixture(scope="module")

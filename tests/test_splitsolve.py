@@ -27,6 +27,12 @@ def implicit_step(sys, sch, tau, hu, hp, t):
     return step_implicit(work, sch, hu, hp, t)
 
 
+def exact_seeds(sys, k, tau):
+    """``initial_history`` of k states per field on the semidiscrete flow."""
+    return ([sys.semidiscrete_u(ell * tau) for ell in range(k)],
+            [sys.semidiscrete_p(ell * tau) for ell in range(k)])
+
+
 @pytest.fixture(scope="module")
 def toy():
     return make_toy(2.0)
@@ -269,7 +275,7 @@ class TestStepImplicit:
 class TestIntegrate:
     def test_single_step_equals_step_function(self, toy):
         sch = scheme(1)
-        cfg = SplitConfig(tol=1e-9, gamma_target=0.5, startup="bootstrap")
+        cfg = SplitConfig(tol=1e-9, gamma_target=0.5)
         traj = integrate(toy, cfg, sch, 1.0, 1.0, mode="split")
         hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
         u, p, _ = split_step(toy, cfg, sch, 1.0, hu, hp, 1.0)
@@ -293,19 +299,20 @@ class TestIntegrate:
 
     def test_exact_startup_seeds(self, toy):
         sch = scheme(3)
-        cfg = SplitConfig(tol=1e-8, gamma_target=0.5, startup="exact")
+        cfg = SplitConfig(tol=1e-8, gamma_target=0.5)
         tau = 0.0625
-        traj = integrate(toy, cfg, sch, tau, 1.0, mode="split")
-        # pressure seeds are the exact-evaluator values
+        traj = integrate(toy, cfg, sch, tau, 1.0, mode="split",
+                         initial_history=exact_seeds(toy, 3, tau))
+        # the first states are the given exact-evaluator seeds, verbatim
         for ell in range(3):
-            np.testing.assert_allclose(traj.ps[ell],
-                                       toy.exact_p(ell * tau), atol=1e-12)
+            np.testing.assert_array_equal(traj.us[ell], toy.exact_u(ell * tau))
+            np.testing.assert_array_equal(traj.ps[ell], toy.exact_p(ell * tau))
         # reports exist only for the multistep main phase
         assert [r.index for r in traj.reports][0] == 3
 
     def test_bootstrap_startup_uses_increasing_orders(self, toy):
         sch = scheme(2)
-        cfg = SplitConfig(tol=1e-9, gamma_target=0.5, startup="bootstrap")
+        cfg = SplitConfig(tol=1e-9, gamma_target=0.5)
         tau = 0.125
         traj = integrate(toy, cfg, sch, tau, 1.0, mode="split")
         # first step must be the implicit BDF-1 step from the initial data
@@ -332,8 +339,9 @@ class TestIntegrate:
         errs = []
         taus = [2.0 ** -e for e in (4, 5, 6)]
         for tau in taus:
-            cfg = SplitConfig(tol=1e-12, gamma_target=0.3, startup="exact")
-            traj = integrate(toy, cfg, sch, tau, 1.0, mode="split")
+            cfg = SplitConfig(tol=1e-12, gamma_target=0.3)
+            traj = integrate(toy, cfg, sch, tau, 1.0, mode="split",
+                             initial_history=exact_seeds(toy, k, tau))
             errs.append(max(abs(float(toy.exact_p(t)[0] - p[0]))
                             for t, p in zip(traj.times, traj.ps)))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -341,16 +349,18 @@ class TestIntegrate:
 
 
 class TestStepperWork:
-    @pytest.mark.parametrize("mode, k, startup, factors", [
+    @pytest.mark.parametrize("mode, k, start, factors", [
         ("split", 2, "bootstrap", 3),      # A, pressure block, BDF-1 block
         ("implicit", 2, "bootstrap", 2),   # BDF-1 and BDF-2 blocks
-        ("split", 3, "exact", 2),          # A (shared with start-up), pressure
-        ("implicit", 3, "exact", 2),       # A for the start-up, BDF-3 block
+        ("split", 3, "seeded", 2),         # A, pressure block
+        ("implicit", 3, "seeded", 1),      # BDF-3 block
     ])
     def test_factorizations_per_run(self, biot8, factor_calls, mode, k,
-                                    startup, factors):
-        cfg = SplitConfig(tol=1e-6, gamma_target=0.4, startup=startup)
-        integrate(biot8, cfg, scheme(k), 0.125, 1.0, mode=mode)
+                                    start, factors):
+        cfg = SplitConfig(tol=1e-6, gamma_target=0.4)
+        seeds = exact_seeds(biot8, k, 0.125) if start == "seeded" else None
+        integrate(biot8, cfg, scheme(k), 0.125, 1.0, mode=mode,
+                  initial_history=seeds)
         assert len(factor_calls) == factors, factor_calls
 
     def test_exact_stabilization_solves_with_the_runs_factor(self, toy,
@@ -377,11 +387,9 @@ class TestStepperWork:
         assert sum(r.inner_iterations for r in traj.reports) > 1
         assert builds == [sys.coupling.shape]
 
-    @pytest.mark.parametrize("startup", ["bootstrap", "exact"])
-    def test_cached_transpose_is_the_same_arithmetic(self, monkeypatch,
-                                                     startup):
+    def test_cached_transpose_is_the_same_arithmetic(self, monkeypatch):
         sys = fem2d.manufactured_system(4)
-        cfg = SplitConfig(tol=1e-8, gamma_target=0.4, startup=startup)
+        cfg = SplitConfig(tol=1e-8, gamma_target=0.4)
         cached = integrate(sys, cfg, scheme(2), 0.125, 1.0, mode="split")
 
         class FreshTranspose:
@@ -458,9 +466,9 @@ class TestContractionGuarantee:
         # later iterate pairs
         ell = default_stabilization(biot8)
         gamma = contraction_factor(ell, biot8.storage_coercivity)
-        cfg = SplitConfig(tol=0.02, stabilization=ell, startup="exact",
-                          max_inner=2000)
-        traj = integrate(biot8, cfg, scheme(1), 0.125, 0.5, mode="split")
+        cfg = SplitConfig(tol=0.02, stabilization=ell, max_inner=2000)
+        traj = integrate(biot8, cfg, scheme(1), 0.125, 0.5, mode="split",
+                         initial_history=exact_seeds(biot8, 1, 0.125))
         assert traj.mean_inner() > 2
         for rep in traj.reports:
             for ratio in rep.ratios[1:]:
@@ -479,7 +487,7 @@ class TestSplittingErrorControl:
         prm = fem2d.BiotParameters(alpha=1e-13)
         grid = fem2d.Grid2D(6)
         sys = fem2d.assemble_biot(grid, prm, fem2d.manufactured(prm))
-        cfg = SplitConfig(tol=1e-12, stabilization=1.0, startup="bootstrap")
+        cfg = SplitConfig(tol=1e-12, stabilization=1.0)
         t_split = integrate(sys, cfg, scheme(2), 0.125, 1.0, mode="split")
         t_impl = integrate(sys, cfg, scheme(2), 0.125, 1.0, mode="implicit")
         for us, ui, ps, pi in zip(t_split.us, t_impl.us, t_split.ps,

@@ -1,13 +1,14 @@
+import dataclasses
 import math
 
-import numpy as np
 import pytest
 
-from porosplit import fem2d, studies
-from porosplit.studies import (EocTable, average_iteration_table,
-                               balancing_study, convergence_study,
+from porosplit import fem2d
+from porosplit.bdf import scheme
+from porosplit.splitsolve import SplitConfig, integrate
+from porosplit.studies import (EocTable, balancing_study, convergence_study,
                                iteration_study)
-from porosplit.system import make_toy
+from porosplit.system import InvalidParameter, make_toy
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +30,12 @@ class TestEocTable:
     def test_requires_halving(self):
         with pytest.raises(ValueError):
             EocTable(taus=[0.4, 0.3], errors=[1.0, 0.5])
+
+    @pytest.mark.parametrize("taus, errors", [([0.4], [1.0]),
+                                              ([0.4, 0.2], [1.0])])
+    def test_requires_two_points_and_one_error_each(self, taus, errors):
+        with pytest.raises(ValueError):
+            EocTable(taus=taus, errors=errors)
 
 
 class TestConvergenceStudy:
@@ -63,6 +70,21 @@ class TestConvergenceStudy:
         lines = res.report.to_csv().strip().splitlines()
         assert lines[0] == "k,tau,tol,err_u_V,err_p_H,mode"
         assert len(lines) == 1 + 4  # split + implicit per tau
+
+    def test_records_keep_the_mean_inner_count(self, toy):
+        res = convergence_study(toy, 1, [0.25, 0.125], tol_exponent=2.5)
+        for rec in res.records:
+            if rec.mode == "implicit":
+                assert math.isnan(rec.mean_inner)
+            else:
+                assert rec.mean_inner >= 1.0
+
+    @pytest.mark.parametrize("taus", [[0.125], [0.125, 0.125],
+                                      [0.25, 0.0625]])
+    def test_tau_grid_checked_before_any_run(self, toy, study_runs, taus):
+        with pytest.raises(ValueError, match="taus"):
+            convergence_study(toy, 1, taus, tol_exponent=2.5)
+        assert study_runs == []
 
 
 class TestBalancingStudy:
@@ -121,16 +143,28 @@ class TestIterationStudy:
 
 
 class TestAverageIterationTable:
+    """The iteration averages come from the balancing study's split runs."""
+
     def test_monotone_trends(self, biot12):
         k = 1
-        res = average_iteration_table(biot12, k, [2 ** -4, 2 ** -5, 2 ** -6])
-        assert res.monotone_in_exponent()
-        assert res.monotone_in_tau()
+        taus = [2 ** -4, 2 ** -5, 2 ** -6]
+        res = balancing_study(biot12, k, taus, [k, k + 1, k + 1.5, k + 2])
+        mean = {key: rec.mean_inner for key, rec in res.records.items()}
+        exponents = (k + 1, k + 1.5, k + 2)
+        # no fewer sweeps at a tighter tolerance or a smaller step
+        for tau in taus:
+            for s, s_next in zip(exponents, exponents[1:]):
+                assert mean[(tau, s)] <= mean[(tau, s_next)] + 1e-9
+        for s in exponents:
+            for tau, tau_next in zip(taus, taus[1:]):
+                assert mean[(tau, s)] <= mean[(tau_next, s)] + 1e-9
 
     def test_csv_schema(self, biot12):
-        res = average_iteration_table(biot12, 1, [0.0625])
-        lines = res.report.to_csv().strip().splitlines()
+        res = balancing_study(biot12, 1, [0.0625], [1.0, 2.5])
+        lines = res.iteration_averages.to_csv().strip().splitlines()
         assert lines[0] == "k,tau,s,mean_Jn"
+        assert [float(line.split(",")[3]) for line in lines[1:]] == [
+            res.records[(0.0625, s)].mean_inner for s in (1.0, 2.5)]
 
 
 class TestSplitImplicitConsistency:
@@ -159,13 +193,31 @@ class TestIterationMagnitudes:
         # reference-table scale: about 5 inner iterations at tau = 2^-4
         # growing toward about 8 at 2^-9 for first order
         sys12 = fem2d.manufactured_system(12)
-        taus = [2.0 ** -e for e in (4, 6, 9)]
-        res = average_iteration_table(sys12, 1, taus, exponents=(2.5,))
-        coarse = res.cells[(2.5, taus[0])]
-        fine = res.cells[(2.5, taus[-1])]
+        seeds = ([sys12.semidiscrete_u(0.0)], [sys12.semidiscrete_p(0.0)])
+        coarse, fine = (
+            integrate(sys12, SplitConfig(tol=tau ** 2.5, gamma_target=0.4),
+                      scheme(1), tau, 1.0, initial_history=seeds).mean_inner()
+            for tau in (2.0 ** -4, 2.0 ** -9))
         assert 3.0 <= coarse <= 7.0
         assert 6.0 <= fine <= 10.0
         assert fine >= coarse
+
+
+class TestSeeding:
+    def test_study_without_evaluators_fails_before_any_run(self, toy,
+                                                           study_runs):
+        bare = dataclasses.replace(toy, exact_u=None, exact_p=None,
+                                   semidiscrete_u=None, semidiscrete_p=None)
+        taus = [0.25, 0.125]
+        for study in (
+                lambda: convergence_study(bare, 1, taus, tol_exponent=2.5),
+                lambda: convergence_study(bare, 1, taus, tol_exponent=2.5,
+                                          t_start=1.0),
+                lambda: balancing_study(bare, 1, taus, [1.0, 2.5])):
+            with pytest.raises(InvalidParameter,
+                               match="semidiscrete_u/semidiscrete_p"):
+                study()
+        assert study_runs == []
 
 
 class TestDeterminism:

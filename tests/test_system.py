@@ -7,9 +7,9 @@ import pytest
 from porosplit import system
 from porosplit.linalg import DimensionMismatch, factorize
 from porosplit.system import (CoupledSystem, InvalidParameter, make_network_toy,
-                              make_toy, exact_discrete_constants,
-                              semidiscrete_solution)
-from verification import coupling_strength, residual_coupled
+                              make_toy, semidiscrete_solution)
+from verification import (coupling_strength, exact_discrete_constants,
+                          residual_coupled)
 
 ROW = np.array([2.0, 1.0, 2.0]) / 3.0
 SCHUR_BASE = (13.0 / 9.0) * (2.0 - math.sqrt(2.0))  # row A^{-1} row^T

@@ -2,18 +2,20 @@
 
 Residual and defect functions that check the library's outputs against
 the equations they are meant to solve: the coupled system's residuals,
-the BDF difference quotient's defect, the coupling strength of a system,
-and a finite-difference check that the manufactured Biot sources match
-their prescribed fields. Nothing in ``porosplit`` needs them.
+the BDF difference quotient and its defect, the coupling strength and
+the sharp discrete constants of a system, and a finite-difference check
+that the manufactured Biot sources match their prescribed fields.
+Nothing in ``porosplit`` needs them.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
-from porosplit.bdf import BdfScheme
+from porosplit.bdf import BdfScheme, History, history_sum
 from porosplit.fem2d import ManufacturedSolution
-from porosplit.linalg import DimensionMismatch, as_vector
+from porosplit.linalg import DimensionMismatch, as_array, as_vector
 from porosplit.system import CoupledSystem
 
 
@@ -38,6 +40,49 @@ def coupling_strength(sys: CoupledSystem) -> float:
     """Dimensionless elliptic-parabolic interaction strength C_d^2 / (c_a c_c)."""
     return sys.coupling_bound ** 2 / (sys.elastic_coercivity
                                       * sys.storage_coercivity)
+
+
+def exact_discrete_constants(sys: CoupledSystem) -> dict[str, float]:
+    """Extreme generalized eigenvalues of the forms against their norms.
+
+    Intended for small systems; returns the sharp values of the five
+    constants a :class:`CoupledSystem` carries: the coercivities of the
+    elastic, flow and storage forms, the elastic continuity and the
+    coupling bound.
+    """
+    def extremes(op, norm):
+        vals = scipy.linalg.eigh(as_array(op), as_array(norm),
+                                 eigvals_only=True)
+        return float(vals[0]), float(vals[-1])
+
+    c_a, big_a = extremes(sys.elasticity, sys.norm_u)
+    c_b = extremes(sys.flow_stiffness, sys.norm_p_grad)[0]
+    c_c = extremes(sys.storage, sys.norm_p)[0]
+    # sharp coupling bound: sup d(u,p) / (|u|_V |p|_H) via a generalized SVD
+    nu = scipy.linalg.cholesky(as_array(sys.norm_u), lower=False)
+    nh = scipy.linalg.cholesky(as_array(sys.norm_p), lower=False)
+    core = np.linalg.solve(nh.T, as_array(sys.coupling)) @ np.linalg.inv(nu)
+    c_d = float(np.linalg.svd(core, compute_uv=False)[0])
+    return {
+        "elastic_coercivity": c_a, "elastic_continuity": big_a,
+        "flow_coercivity": c_b, "storage_coercivity": c_c,
+        "coupling_bound": c_d,
+    }
+
+
+def discrete_derivative(sch: BdfScheme, tau: float, newest: np.ndarray,
+                        hist: History) -> np.ndarray:
+    """Evaluate ``(1/tau) (xi_0 y^n + sum_l xi_l y^{n-l})``.
+
+    ``newest`` is y^n; ``hist`` holds y^{n-1}..y^{n-k} newest-first.
+    """
+    if tau <= 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    past = history_sum(sch, hist)
+    newest = np.asarray(newest, dtype=float)
+    if hist.newest().shape != newest.shape:
+        raise DimensionMismatch("history entry shape differs from newest")
+    return (sch.coeffs[0] * newest + past) / tau
 
 
 def derivative_defect(sch: BdfScheme, tau: float, f, df, t: float) -> float:
