@@ -242,11 +242,23 @@ class RunConfig:
         for k in self.orders:
             if not 1 <= k <= 5:
                 raise ValidationError(f"k must be in 1..5, got {k}")
-        for tau in ([] if self.tau is None else [self.tau]) + (self.taus or []):
+        taus = self.taus or []
+        for tau in taus:
+            if taus.count(tau) > 1:
+                raise ValidationError(
+                    f"taus repeat tau={tau:g}; each step runs once")
+        k_max = max(self.orders if self.subcommand == "iters"
+                    else [self.order])
+        for tau in ([] if self.tau is None else [self.tau]) + taus:
             steps = self.t_end / tau
             if abs(steps - round(steps)) > 1e-9:
                 raise ValidationError(
                     f"tau={tau:g} does not divide T={self.t_end:g}")
+            if round(steps) < k_max:
+                raise ValidationError(
+                    f"tau={tau:g} gives T/tau = {round(steps)} on "
+                    f"T={self.t_end:g}; BDF-{k_max} needs at least "
+                    f"{k_max} steps")
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
             raise ValidationError("gamma must lie in (0, 1)")
 

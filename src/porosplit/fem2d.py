@@ -12,8 +12,10 @@ boundary row or column dropped. Matrix products of P1 functions are
 integrated exactly with the mid-edge rule; smooth source fields use the
 same three-point rule, whose consistency error sits far below the
 temporal errors probed at this scale. The rule's weights form one sparse
-matrix from the mesh's unique edge midpoints to interior nodes, so a
-load is one evaluation of the source per edge and one sparse product.
+matrix from the mesh's unique edge midpoints to interior nodes. The
+manufactured sources are exp(-t / t_d) times a field of (x, y), so each
+load vector costs one evaluation of the source per edge and one sparse
+product at assembly; a load at time t is that vector times exp(-t / t_d).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 import scipy.sparse
 
 from .linalg import factorize
-from .system import CoupledSystem, semidiscrete_solution
+from .system import CoupledSystem, InvalidParameter, semidiscrete_solution
 
 __all__ = [
     "Grid2D",
@@ -116,11 +118,14 @@ class BiotParameters:
 class ManufacturedSolution:
     """Prescribed fields and the sources that make them solve the PDE.
 
+    Every field and source is exp(-t / decay_time) times a function of
+    (x, y); :func:`assemble_biot` relies on that separation and checks it.
     All evaluators take (t, x, y) with x, y broadcastable arrays; vector
     fields return a trailing component axis of size 2.
     """
 
     params: BiotParameters
+    decay_time: float
     u: Callable
     p: Callable
     du_dt: Callable
@@ -133,16 +138,17 @@ def manufactured(params: BiotParameters) -> ManufacturedSolution:
     """Separable decaying fields on the unit square.
 
     u = -10 e^{-t/5} sin(pi x) sin(pi y) (1, 1) and p = +10 e^{-t/5}
-    sin(pi x) sin(pi y); the sources follow by substituting into the
-    momentum and mass-balance equations. Both fields vanish on the
-    boundary for all t.
+    sin(pi x) sin(pi y), so the decay time is 5; the sources follow by
+    substituting into the momentum and mass-balance equations. Both
+    fields vanish on the boundary for all t.
     """
     lam, mu = params.lam, params.mu
     kon, inv_m, alpha = params.kappa_over_nu, params.inv_m, params.alpha
     pi = math.pi
+    decay_time = 5.0
 
     def w(t):
-        return 10.0 * np.exp(-t / 5.0)
+        return 10.0 * np.exp(-t / decay_time)
 
     def s(x, y):
         return np.sin(pi * x) * np.sin(pi * y)
@@ -164,11 +170,11 @@ def manufactured(params: BiotParameters) -> ManufacturedSolution:
         return w(t) * s(x, y)
 
     def du_dt(t, x, y):
-        comp = w(t) / 5.0 * s(x, y)
+        comp = w(t) / decay_time * s(x, y)
         return np.stack([comp, comp], axis=-1)
 
     def dp_dt(t, x, y):
-        return -w(t) / 5.0 * s(x, y)
+        return -w(t) / decay_time * s(x, y)
 
     def f(t, x, y):
         # -div sigma(u) + alpha grad p, identical structure per component
@@ -178,12 +184,12 @@ def manufactured(params: BiotParameters) -> ManufacturedSolution:
                          common + alpha * w(t) * sy(x, y)], axis=-1)
 
     def g(t, x, y):
-        rate = w(t) / 5.0 * (alpha * (sx(x, y) + sy(x, y))
-                             - inv_m * s(x, y))
-        return rate + 2.0 * pi * pi * kon * w(t) * s(x, y)
+        content_rate = w(t) / decay_time * (alpha * (sx(x, y) + sy(x, y))
+                                            - inv_m * s(x, y))
+        return content_rate + 2.0 * pi * pi * kon * w(t) * s(x, y)
 
-    return ManufacturedSolution(params=params, u=u, p=p, du_dt=du_dt,
-                                dp_dt=dp_dt, f=f, g=g)
+    return ManufacturedSolution(params=params, decay_time=decay_time, u=u,
+                                p=p, du_dt=du_dt, dp_dt=dp_dt, f=f, g=g)
 
 
 def interpolate(grid: Grid2D, field, t: float) -> np.ndarray:
@@ -266,6 +272,10 @@ def _scatter(rows, cols, blocks, shape):
                                    shape=shape)
 
 
+# time at which assemble_biot checks the separated loads against quadrature
+_LOAD_PROBE = 0.7
+
+
 def assemble_biot(grid: Grid2D, params: BiotParameters,
                   solution: Optional[ManufacturedSolution] = None
                   ) -> CoupledSystem:
@@ -276,6 +286,12 @@ def assemble_biot(grid: Grid2D, params: BiotParameters,
     the pressure norm. Sources and initial data come from ``solution``
     when given (zero otherwise); the initial displacement is recomputed
     from the momentum balance so the initial data are consistent.
+
+    The two load vectors are integrated once, at t = 0, and each load
+    call scales its vector by exp(-t / decay_time). One probe time checks
+    that separation against the mid-edge rule applied to ``solution.f``
+    and ``solution.g`` directly; sources that do not decay with
+    ``solution.decay_time`` raise :class:`InvalidParameter`.
 
     The constants are bounds valid on every grid. On H^1_0,
     ||eps(u)||^2 = (||grad u||^2 + ||div u||^2) / 2 and ||div u|| <=
@@ -312,8 +328,23 @@ def assemble_biot(grid: Grid2D, params: BiotParameters,
         p0 = np.zeros(ni)
         exact_u = exact_p = None
     else:
-        load_u = lambda t: (loads @ solution.f(t, xm, ym)).T.ravel()
-        load_p = lambda t: loads @ solution.g(t, xm, ym)
+        def integrated(t):
+            """Both load vectors by the mid-edge rule at time t."""
+            return ((loads @ solution.f(t, xm, ym)).T.ravel(),
+                    loads @ solution.g(t, xm, ym))
+
+        f0, g0 = integrated(0.0)
+        decay_time = solution.decay_time
+        decay = math.exp(-_LOAD_PROBE / decay_time)
+        for name, direct, base in zip("fg", integrated(_LOAD_PROBE), (f0, g0)):
+            if not np.allclose(decay * base, direct, rtol=0.0,
+                               atol=1e-12 * np.abs(direct).max()):
+                raise InvalidParameter(
+                    f"source {name} does not decay with the declared decay "
+                    f"time {decay_time:g}: its load at t={_LOAD_PROBE:g} is "
+                    f"not exp(-t / {decay_time:g}) times its load at t=0")
+        load_u = lambda t: math.exp(-t / decay_time) * f0
+        load_p = lambda t: math.exp(-t / decay_time) * g0
         p0 = interpolate(grid, solution.p, 0.0)
         exact_u = lambda t: interpolate(grid, solution.u, t)
         exact_p = lambda t: interpolate(grid, solution.p, t)
@@ -349,12 +380,14 @@ def manufactured_system(n: int, params: Optional[BiotParameters] = None
     Attaches both the interpolated analytic evaluators (``exact_*``) and
     the matching exact solution of the spatially discretized system
     (``semidiscrete_*``), the latter serving as a drift-free reference for
-    temporal studies. The semidiscrete oracle is validated here but built
-    on its first evaluation (see
+    temporal studies. The oracle's source shape is exp(-rate t) with rate
+    1 / decay_time, the decay the loads are scaled by. It is
+    validated here but built on its first evaluation (see
     :func:`porosplit.system.semidiscrete_solution`), so a run that never
     reads it never pays for its dense eigenproblem.
     """
     params = params or BiotParameters()
-    sys = assemble_biot(Grid2D(n), params, manufactured(params))
-    u, p = semidiscrete_solution(sys, ("exp", 0.2))
+    solution = manufactured(params)
+    sys = assemble_biot(Grid2D(n), params, solution)
+    u, p = semidiscrete_solution(sys, ("exp", 1.0 / solution.decay_time))
     return replace(sys, semidiscrete_u=u, semidiscrete_p=p)

@@ -100,13 +100,17 @@ def g_stability_data(k: int) -> GStabilityData:
     raise ValueError("explicit G data is only available for k = 1, 2")
 
 
-def criterion_min(k: int, eta: float, samples: int = _SEARCH_SAMPLES) -> float:
-    """Minimum of ``Re(xi(zeta)/(1 - eta*zeta))`` over the sampled unit circle."""
-    _check_order(k)
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
-    if samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {samples}")
+# (k, samples) -> (zeta, xi(zeta)), held only while find_multiplier runs;
+# a held entry equals what _sampled_circle would compute, so a caller that
+# finds none (or another search's) gets the same minimum
+_held_circle: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _sampled_circle(k: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """``samples`` equispaced points zeta of the unit circle and xi(zeta)."""
+    held = _held_circle.get((k, samples))
+    if held is not None:
+        return held
     theta = 2.0 * np.pi * np.arange(samples) / samples
     zeta = np.exp(1j * theta)
     xi = np.zeros_like(zeta)
@@ -114,6 +118,17 @@ def criterion_min(k: int, eta: float, samples: int = _SEARCH_SAMPLES) -> float:
     for c in coefficients(k):
         xi += c * power
         power = power * zeta
+    return zeta, xi
+
+
+def criterion_min(k: int, eta: float, samples: int = _SEARCH_SAMPLES) -> float:
+    """Minimum of ``Re(xi(zeta)/(1 - eta*zeta))`` over the sampled unit circle."""
+    _check_order(k)
+    if not 0.0 <= eta < 1.0:
+        raise ValueError(f"eta must lie in [0, 1), got {eta}")
+    if samples < 1000:
+        raise ValueError(f"need at least 1000 samples, got {samples}")
+    zeta, xi = _sampled_circle(k, samples)
     return float(np.min((xi / (1.0 - eta * zeta)).real))
 
 
@@ -124,30 +139,36 @@ def find_multiplier(k: int) -> MultiplierCertificate:
     A coarse 1e-2 sweep brackets the feasibility boundary, then a 1e-4
     sweep inside the bracket picks the smallest feasible grid point. The
     criterion minimum is not smooth in eta, so grid search is used instead
-    of root finding.
+    of root finding. The sampled circle and xi on it do not depend on
+    eta: the search computes them once and releases them when it ends.
     """
     if k not in (3, 4, 5):
         raise ValueError(f"multiplier search is for k in 3..5, got {k}")
-    coarse = None
-    steps = round(1.0 / _COARSE_STEP)
-    for i in range(steps):
-        eta = i * _COARSE_STEP
-        if criterion_min(k, eta) >= _FEASIBLE_FLOOR:
-            coarse = eta
-            break
-    if coarse is None:
-        raise NotFound(f"no multiplier below 1 for k={k}")
-    start = max(0.0, coarse - _COARSE_STEP)
-    base = round(start / _FINE_STEP)
-    for i in range(base, base + round(_COARSE_STEP / _FINE_STEP) + 1):
-        eta = i * _FINE_STEP
-        m = criterion_min(k, eta)
-        if m >= _FEASIBLE_FLOOR:
-            return MultiplierCertificate(
-                order=k, multiplier=eta, min_real_part=m,
-                sample_count=_SEARCH_SAMPLES,
-            )
-    raise NotFound(f"fine sweep found no multiplier for k={k}")
+    key = (k, _SEARCH_SAMPLES)
+    _held_circle[key] = _sampled_circle(*key)
+    try:
+        coarse = None
+        steps = round(1.0 / _COARSE_STEP)
+        for i in range(steps):
+            eta = i * _COARSE_STEP
+            if criterion_min(k, eta) >= _FEASIBLE_FLOOR:
+                coarse = eta
+                break
+        if coarse is None:
+            raise NotFound(f"no multiplier below 1 for k={k}")
+        start = max(0.0, coarse - _COARSE_STEP)
+        base = round(start / _FINE_STEP)
+        for i in range(base, base + round(_COARSE_STEP / _FINE_STEP) + 1):
+            eta = i * _FINE_STEP
+            m = criterion_min(k, eta)
+            if m >= _FEASIBLE_FLOOR:
+                return MultiplierCertificate(
+                    order=k, multiplier=eta, min_real_part=m,
+                    sample_count=_SEARCH_SAMPLES,
+                )
+        raise NotFound(f"fine sweep found no multiplier for k={k}")
+    finally:
+        _held_circle.pop(key, None)
 
 
 def certificate(k: int) -> MultiplierCertificate:

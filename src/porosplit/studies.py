@@ -74,6 +74,13 @@ def _check_halving(taus) -> None:
         raise ValueError(f"taus must decrease by factors of two, got {taus}")
 
 
+def _check_distinct(name: str, values) -> None:
+    """Reject a sorted grid that lists a value twice: its runs would repeat."""
+    for a, b in zip(values, values[1:]):
+        if a == b:
+            raise ValueError(f"{name} repeat {a:g}, got {values}")
+
+
 @dataclass
 class EocTable:
     """(tau, error) pairs under tau-halving with observed orders."""
@@ -261,11 +268,14 @@ def balancing_study(sys: CoupledSystem, order: int, taus, exponents,
     with tol = tau**s joins it in one record. The flag per tau marks
     whether the s = k + 3/2 run stays within ``factor`` of the baseline.
     The same split runs give the iteration averages: their mean inner
-    count per (s, tau), s-major.
+    count per (s, tau), s-major. A tau or exponent listed twice is
+    rejected before the first run.
     """
     k = order
     taus = sorted(taus, reverse=True)
     exponents = sorted(exponents)
+    _check_distinct("taus", taus)
+    _check_distinct("exponents", exponents)
     balanced_s = k + 1.5
     if not any(abs(s - balanced_s) < 1e-12 for s in exponents) or \
             not any(abs(s - k) < 1e-12 for s in exponents):

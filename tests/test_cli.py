@@ -45,6 +45,12 @@ class TestParseConfig:
         with pytest.raises(cli.ValidationError):
             parse_config(["toy", "--tau", "0.3", "--T", "1"])
 
+    def test_tau_must_give_k_steps(self):
+        with pytest.raises(cli.ValidationError,
+                           match="tau=0.5 gives T/tau = 1 on T=0.5; BDF-3"):
+            parse_config(["toy", "--k", "3", "--tau", "0.5", "--T", "0.5"])
+        parse_config(["toy", "--k", "3", "--tau", "0.5", "--T", "1.5"])
+
     def test_config_file_with_flag_override(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("k = 2\ntau = 2^-4\ngamma = 0.5\nomega = 4\n")
@@ -216,6 +222,33 @@ class TestStudySubcommands:
                                                    capsys, study_runs):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_VALIDATION
         assert "tau=0.3 does not divide T=1" in capsys.readouterr().err
+        assert study_runs == []
+
+    @pytest.mark.parametrize("argv", [
+        ["balance", "--n", "4", "--taus", "2^-3,2^-3"],
+        ["iters", "--taus", "2^-3,2^-4,2^-3"],
+    ])
+    def test_a_repeated_tau_is_named_before_any_run(self, argv, tmp_path,
+                                                    capsys, study_runs):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert "taus repeat tau=0.125" in capsys.readouterr().err
+        assert study_runs == []
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["convergence", "--problem", "toy", "--k", "3", "--taus",
+          "2^-2,2^-3", "--T", "0.5"],
+         "tau=0.25 gives T/tau = 2 on T=0.5; BDF-3 needs at least 3 steps"),
+        (["balance", "--n", "4", "--k", "2", "--taus", "2^-1,2^-2",
+          "--T", "0.5"],
+         "tau=0.5 gives T/tau = 1 on T=0.5; BDF-2 needs at least 2 steps"),
+        (["iters", "--ks", "1,2", "--taus", "2^-1,2^-2", "--T", "0.5"],
+         "tau=0.5 gives T/tau = 1 on T=0.5; BDF-2 needs at least 2 steps"),
+    ])
+    def test_a_tau_with_fewer_than_k_steps_is_named_before_any_run(
+            self, argv, message, tmp_path, capsys, study_runs):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
         assert study_runs == []
 
 

@@ -218,7 +218,7 @@ class TestAssembly:
         expected = _loop_coupling(grid, params.alpha)
         _assert_close(sys.coupling.toarray(), expected[mask][:, umask])
 
-    @pytest.mark.parametrize("t", [0.0, 0.37, 1.3])
+    @pytest.mark.parametrize("t", [0.0, 0.37, 1.3, 2.0, 5.0])
     def test_loads_match_loop_mid_edge_rule(self, params, solution, t):
         grid = Grid2D(4)
         sys = assemble_biot(grid, params, solution)
@@ -226,6 +226,28 @@ class TestAssembly:
         _assert_close(sys.load_p(t), _loop_load(grid, solution.g, t)[mask])
         f = _loop_load(grid, solution.f, t)[mask]
         _assert_close(sys.load_u(t), np.concatenate([f[:, 0], f[:, 1]]))
+
+    @pytest.mark.parametrize("t0, t", [(1.0, 0.37), (1.0, 4.0), (2.5, 2.0)])
+    def test_time_shifted_loads_match_loop_mid_edge_rule(self, params,
+                                                         solution, t0, t):
+        grid = Grid2D(4)
+        sys = system.time_shifted(assemble_biot(grid, params, solution), t0)
+        mask = grid.interior_mask()
+        _assert_close(sys.load_p(t),
+                      _loop_load(grid, solution.g, t0 + t)[mask])
+        f = _loop_load(grid, solution.f, t0 + t)[mask]
+        _assert_close(sys.load_u(t), np.concatenate([f[:, 0], f[:, 1]]))
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda ms: replace(ms, decay_time=4.0),
+         "source f does not decay with the declared decay time 4"),
+        (lambda ms: replace(ms, g=lambda t, x, y: ms.g(0.0, x, y)),
+         "source g does not decay with the declared decay time 5"),
+    ])
+    def test_sources_off_the_declared_decay_are_rejected(
+            self, params, solution, change, message):
+        with pytest.raises(InvalidParameter, match=message):
+            assemble_biot(Grid2D(4), params, change(solution))
 
     @pytest.mark.parametrize("n", [4, 8, 12])
     def test_constants_bracket_sharp_discrete_values(self, params, n):

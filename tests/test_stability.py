@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from porosplit import stability
 from porosplit.stability import (GStabilityData, criterion_min,
                                  find_multiplier, g_stability_data,
                                  identity_residual, verify_identity)
+from verification import boundary_criterion_min
 
 
 class TestCriterion:
@@ -41,6 +44,71 @@ class TestFindMultiplier:
     def test_rejects_low_orders(self):
         with pytest.raises(ValueError):
             find_multiplier(2)
+
+
+@pytest.fixture
+def fresh_search():
+    """find_multiplier without its memo, restored afterwards."""
+    find_multiplier.cache_clear()
+    yield
+    find_multiplier.cache_clear()
+
+
+class TestSampledOncePerSearch:
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("eta", [0.0, 0.0836, 0.2879, 0.5, 0.816, 0.99])
+    def test_criterion_is_bit_identical_to_a_fresh_sampling(self, k, eta):
+        assert criterion_min(k, eta) == boundary_criterion_min(k, eta)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_search_matches_a_search_on_the_fresh_sampling(
+            self, k, fresh_search, monkeypatch):
+        cert = find_multiplier(k)
+        find_multiplier.cache_clear()
+        monkeypatch.setattr(stability, "criterion_min",
+                            lambda k_, eta: boundary_criterion_min(k_, eta))
+        ref = find_multiplier(k)
+        assert (cert.multiplier, cert.min_real_part) == \
+            (ref.multiplier, ref.min_real_part)
+
+    def test_one_sampling_per_search_and_none_kept(self, fresh_search,
+                                                   monkeypatch):
+        samplings = []
+        calls = []
+        coefficients, criterion = stability.coefficients, stability.criterion_min
+
+        def counting_coefficients(k):
+            samplings.append(k)
+            return coefficients(k)
+
+        def counting_criterion(k, eta):
+            calls.append(eta)
+            return criterion(k, eta)
+
+        monkeypatch.setattr(stability, "coefficients", counting_coefficients)
+        monkeypatch.setattr(stability, "criterion_min", counting_criterion)
+        find_multiplier(3)
+        assert samplings == [3]
+        assert len(calls) == 47
+        assert stability._held_circle == {}
+
+    def test_search_releases_the_samples(self, fresh_search):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            find_multiplier(3)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # zeta and xi(zeta) take 3.2 MB at 100 000 samples
+        assert kept < 100_000
+
+    def test_a_failed_search_releases_the_samples(self, fresh_search,
+                                                  monkeypatch):
+        monkeypatch.setattr(stability, "_FEASIBLE_FLOOR", 1.0)
+        with pytest.raises(stability.NotFound):
+            find_multiplier(3)
+        assert stability._held_circle == {}
 
 
 class TestGData:

@@ -107,6 +107,16 @@ class TestBalancingStudy:
         with pytest.raises(ValueError):
             balancing_study(toy, 1, [0.25, 0.125], [1.0, 2.0])
 
+    @pytest.mark.parametrize("taus, exponents, message", [
+        ([0.25, 0.125, 0.25], [1.0, 2.5], "taus repeat 0.25"),
+        ([0.25, 0.125], [1.0, 2.5, 1.0], "exponents repeat 1"),
+    ])
+    def test_repeats_rejected_before_any_run(self, toy, study_runs, taus,
+                                             exponents, message):
+        with pytest.raises(ValueError, match=message):
+            balancing_study(toy, 1, taus, exponents)
+        assert study_runs == []
+
     def test_csv_schema(self, toy):
         res = balancing_study(toy, 1, [0.25, 0.125], [1.0, 2.5])
         lines = res.report.to_csv().strip().splitlines()

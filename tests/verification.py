@@ -3,9 +3,10 @@
 Residual and defect functions that check the library's outputs against
 the equations they are meant to solve: the coupled system's residuals,
 the BDF difference quotient and its defect, the coupling strength and
-the sharp discrete constants of a system, and a finite-difference check
-that the manufactured Biot sources match their prescribed fields.
-Nothing in ``porosplit`` needs them.
+the sharp discrete constants of a system, a finite-difference check
+that the manufactured Biot sources match their prescribed fields, and
+a plain evaluation of the stability boundary criterion that samples the
+circle on every call. Nothing in ``porosplit`` needs them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from porosplit.bdf import BdfScheme, History, history_sum
+from porosplit.bdf import BdfScheme, History, coefficients, history_sum
 from porosplit.fem2d import ManufacturedSolution
 from porosplit.linalg import DimensionMismatch, as_array, as_vector
 from porosplit.system import CoupledSystem
@@ -68,6 +69,20 @@ def exact_discrete_constants(sys: CoupledSystem) -> dict[str, float]:
         "flow_coercivity": c_b, "storage_coercivity": c_c,
         "coupling_bound": c_d,
     }
+
+
+def boundary_criterion_min(k: int, eta: float, samples: int = 100_000
+                           ) -> float:
+    """Minimum of ``Re(xi(zeta)/(1 - eta*zeta))`` on ``samples``
+    equispaced points of the unit circle, sampled afresh on each call."""
+    theta = 2.0 * np.pi * np.arange(samples) / samples
+    zeta = np.exp(1j * theta)
+    xi = np.zeros_like(zeta)
+    power = np.ones_like(zeta)
+    for c in coefficients(k):
+        xi += c * power
+        power = power * zeta
+    return float(np.min((xi / (1.0 - eta * zeta)).real))
 
 
 def discrete_derivative(sch: BdfScheme, tau: float, newest: np.ndarray,
