@@ -129,7 +129,6 @@ class Option:
     help: str = ""
     problems: tuple[str, ...] = ()  # the problems that read it; () = all
     defaults: dict = field(default_factory=dict)  # subcommand -> default
-    default_unless: str = ""      # a default gives way when this field is set
     repeat: bool = False          # repeatable; the values collect in a list
 
 
@@ -153,11 +152,10 @@ OPTIONS = (
     Option("s", "tol_exponent", _parse_float_token, _SINGLE + ("convergence",),
            "tolerance exponent: tol = tau**s (default k + 3/2)"),
     Option("gamma", "gamma", _parse_float_token, _SINGLE,
-           "target contraction factor",
-           defaults={"toy": 0.5, "biot2d": 0.4, "network": 0.4},
-           default_unless="stabilization"),
+           "target contraction factor, in place of the default L = beta"),
     Option("L", "stabilization", _parse_float_token, _SINGLE,
-           "explicit stabilization parameter, in place of gamma"),
+           "explicit stabilization parameter, in place of the default "
+           "L = beta"),
     Option("gammas", "gammas", _parse_floats, ("iters",),
            "target contraction factors"),
     Option("omega", "omega", _parse_float_token, ("toy", "convergence"),
@@ -352,7 +350,7 @@ def parse_config(argv) -> RunConfig:
     given = _read_config_file(config, sub) if config else {}
     given.update(args)
     values = {opt.dest: opt.defaults[sub] for opt in OPTIONS
-              if sub in opt.defaults and opt.default_unless not in given}
+              if sub in opt.defaults}
     values.update(given)
     cfg = RunConfig(subcommand=sub, **values)
     for opt in OPTIONS:

@@ -13,9 +13,10 @@ increment functional
     (c_a/2) |du|_V^2 + (c_c + L/2) |dp|_H^2 + (tau/xi0) c_b |dp|_Q^2
 
 drops below tol^2. The monolithic reference solves the coupled block
-system in one shot. With stabilization at or above the coercivity-based
-default, successive functional values contract at least by
-``sqrt(L / (2 c_c + L))`` per inner iteration.
+system in one shot. With L at or above the system's coupling constant
+beta, the default (see :func:`default_stabilization`), successive
+functional values contract at least by ``sqrt(L / (2 c_c + L))`` per
+inner iteration.
 
 One :class:`StepperWork` per :func:`integrate` call decides L, the
 functional's weights and the predicted contraction once, and factors
@@ -39,14 +40,12 @@ from .system import CoupledSystem
 
 __all__ = [
     "MissingConstants",
-    "NotScalarPressure",
     "MaxInnerExceeded",
     "SolverFailure",
     "SplitConfig",
     "StepReport",
     "Trajectory",
     "default_stabilization",
-    "stabilization_for_contraction",
     "contraction_factor",
     "termination_functional",
     "predict_iterations",
@@ -58,15 +57,11 @@ __all__ = [
 
 
 class MissingConstants(RuntimeError):
-    """The system lacks the constants needed to derive a stabilization."""
-
-
-class NotScalarPressure(ValueError):
-    """The closed-form stabilization rule applies to scalar pressures only."""
+    """A constant the split run reads is not finite, or beta < 0."""
 
 
 class MaxInnerExceeded(RuntimeError):
-    """Inner iteration cap hit: stabilization likely below its threshold."""
+    """Inner iteration cap hit; the message sets L against beta."""
 
 
 class SolverFailure(RuntimeError):
@@ -78,7 +73,7 @@ class SplitConfig:
     """Knobs of the split stepper.
 
     At most one of ``stabilization`` (explicit L) and ``gamma_target`` may
-    be given; with neither, the coercivity-based default L is used. The
+    be given; with neither, L is the system's coupling constant beta. The
     config only records the request: :class:`StepperWork` turns it into L
     once per run. Start-up is not a knob: :func:`integrate` starts from
     the seeds it is given, else from an implicit bootstrap.
@@ -150,47 +145,29 @@ class Trajectory:
 
 
 def default_stabilization(sys: CoupledSystem) -> float:
-    """Coercivity-based stabilization ``C_a^2 C_d^2 / c_a^3``.
+    """The coupling constant beta = lambda_max(D A^{-1} D^T, M_H).
 
-    Twice the contraction threshold, so the guaranteed-rate regime holds
-    with a factor-2 margin.
+    The energy argument for L >= beta: in one step let dp_i, du_i be the
+    increments of sweep i (sweep 0 is the previous step's state), S =
+    D A^{-1} D^T and e = dp_i - dp_{i-1}. Subtract pressure sweeps i and
+    i-1 and test with dp_i. Where A du = D^T dp holds for du_i and
+    du_{i-1}, polarizing both products gives
+
+        |dp_i|_C^2 + (L/2)|dp_i|_H^2 + |du_i|_A^2/2 + (tau/xi0)|dp_i|_B^2
+            + (L |e|_H^2 - |e|_S^2)/2 = (L/2)|dp_{i-1}|_H^2 - |du_{i-1}|_A^2/2.
+
+    |e|_S^2 <= beta |e|_H^2 makes the last left term >= 0, the left side
+    is >= eps_i^2 and the right <= L/(2 c_c + L) eps_{i-1}^2, so
+    eps_i <= sqrt(L/(2 c_c + L)) eps_{i-1}. A du_i = D^T dp_i holds for
+    i >= 2, so the bound holds from the second ratio of each step on, and
+    from the first when f is constant in time (A du_1 = D^T dp_1 +
+    f(t_n) - f(t_{n-1})). Raises :class:`MissingConstants` for a beta
+    that is not finite or negative.
     """
-    ca, big_a, cd = (sys.elastic_coercivity, sys.elastic_continuity,
-                     sys.coupling_bound)
-    if not all(np.isfinite([ca, big_a, cd])) or ca <= 0.0:
-        raise MissingConstants("system constants are missing or degenerate")
-    return big_a ** 2 * cd ** 2 / ca ** 3
-
-
-def stabilization_for_contraction(sys: CoupledSystem, gamma: float,
-                                  tau: float, xi0: float) -> float:
-    """Stabilization that prescribes the contraction factor exactly.
-
-    For a scalar pressure the inner iteration reduces to
-    ``dp_i = gamma dp_{i-1}`` with
-    ``gamma = (L - s) / (L + C + (tau/xi0) B)`` where ``s = D A^{-1} D^T``;
-    solving for L gives
-    ``L = s/(1-gamma) + gamma/(1-gamma) (C + (tau/xi0) B)``.
-    """
-    return _exact_stabilization(sys, gamma, tau, xi0,
-                                lambda: factorize(sys.elasticity))
-
-
-def _exact_stabilization(sys: CoupledSystem, gamma: float, tau: float,
-                         xi0: float, elasticity_factor) -> float:
-    """:func:`stabilization_for_contraction`, solving with the factor of A
-    that ``elasticity_factor()`` returns (a run shares its own)."""
-    if sys.dim_p != 1:
-        raise NotScalarPressure(f"pressure dimension is {sys.dim_p}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    if tau <= 0.0 or xi0 <= 0.0:
-        raise ValueError("tau and xi0 must be positive")
-    s = float((sys.coupling @ elasticity_factor().solve(
-        sys.coupling.T @ np.ones(1)))[0])
-    c_val = float(sys.storage[0, 0])
-    b_val = float(sys.flow_stiffness[0, 0])
-    return s / (1.0 - gamma) + gamma / (1.0 - gamma) * (c_val + tau / xi0 * b_val)
+    beta = sys.coupling_constant
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise MissingConstants(f"coupling_constant (beta) is {beta}")
+    return beta
 
 
 def contraction_factor(stabilization: float, storage_coercivity: float) -> float:
@@ -220,10 +197,13 @@ class StepperWork:
     A split run resolves three values at construction. ``stabilization``
     is L: ``cfg.stabilization``; or for ``cfg.gamma_target`` the exact L
     on a scalar pressure, else the inverse of gamma^2 = (L/2)/(c_c + L/2);
-    or :func:`default_stabilization`. ``weights`` are the termination
-    weights (c_a/2, c_c + L/2, (tau/xi0) c_b). ``gamma`` is the factor
-    J_n is predicted from: the target, else sqrt(L/(2 c_c + L)), and None
-    for L = 0. An implicit run leaves all three None. ``coupling_t`` is
+    or :func:`default_stabilization`, beta. An inverted L carries the
+    guarantee only when it is >= beta: on Biot, gamma = 0.15 gives
+    L = 0.184 < beta = 0.9 (ratios after the first stay below 0.125 in
+    runs at n <= 32). ``weights`` are the termination weights (c_a/2, c_c + L/2,
+    (tau/xi0) c_b). ``gamma`` is the factor J_n is predicted from: the
+    target, else sqrt(L/(2 c_c + L)), and None for L = 0. An implicit run
+    leaves all three None and reads no constant. ``coupling_t`` is
     D^T, transposed once here: for a sparse D each ``.T`` builds a new
     matrix object, and the sweeps would build one per displacement solve.
     Each factor is built on first use and kept: A (split sweeps, the exact
@@ -244,14 +224,25 @@ class StepperWork:
         self._factors: dict = {}
         if mode == "implicit":
             return
+        for name in ("elastic_coercivity", "flow_coercivity",
+                     "storage_coercivity"):
+            if not math.isfinite(getattr(sys, name)):
+                raise MissingConstants(f"{name} is {getattr(sys, name)}")
         xi0 = sch.leading
         if cfg.stabilization is not None:
             ell = cfg.stabilization
         elif cfg.gamma_target is None:
             ell = default_stabilization(sys)
         elif sys.dim_p == 1:
-            ell = _exact_stabilization(sys, cfg.gamma_target, tau, xi0,
-                                       self.elasticity_factor)
+            # the sweeps reduce to dp_i = gamma dp_{i-1} with
+            # gamma = (L - s) / (L + C + (tau/xi0) B), s = D A^{-1} D^T
+            gamma = cfg.gamma_target
+            s = float((sys.coupling @ self.elasticity_factor().solve(
+                self.coupling_t @ np.ones(1)))[0])
+            c_val = float(sys.storage[0, 0])
+            b_val = float(sys.flow_stiffness[0, 0])
+            ell = (s / (1.0 - gamma)
+                   + gamma / (1.0 - gamma) * (c_val + tau / xi0 * b_val))
         else:
             g2 = cfg.gamma_target ** 2
             ell = 2.0 * sys.storage_coercivity * g2 / (1.0 - g2)
@@ -371,9 +362,14 @@ def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
                 pressure_ratios=p_ratios,
             )
             return u_new, p_new, report
+    beta = sys.coupling_constant
+    claim = ("guarantees a contraction by "
+             f"{contraction_factor(ell, sys.storage_coercivity):.4g} per "
+             "sweep after a step's first ratio" if ell > 0.0 and ell >= beta
+             else "guarantees no contraction (that needs L >= beta, L > 0)")
     raise MaxInnerExceeded(
         f"no termination within {cfg.max_inner} inner iterations at t={t:g}; "
-        f"stabilization {ell:g} may be below its threshold")
+        f"L = {ell:g} with beta = {beta:g} {claim}")
 
 
 def step_implicit(work: StepperWork, sch: BdfScheme, hist_u: History,

@@ -2,9 +2,9 @@
 
 A :class:`CoupledSystem` bundles the four operator blocks (elasticity,
 flow stiffness, storage, coupling), the three norm matrices used by error
-measures and the termination functional, the coercivity/continuity
-constants of the underlying bilinear forms, time-dependent sources, and
-consistent initial data.
+measures and the termination functional, the three coercivity constants
+and the coupling constant of the underlying bilinear forms,
+time-dependent sources, and consistent initial data.
 
 Two concrete families are built here: the 3+1 scalar toy problem
 (tridiagonal elasticity, scalar pressure, sinusoidal forcing) and its
@@ -44,6 +44,10 @@ class InvalidParameter(ValueError):
 class CoupledSystem:
     """Assembled operators, norms, constants, sources and initial data.
 
+    The constants bound the forms against the norms: the coercivities
+    from below, and beta = lambda_max(D A^{-1} D^T, M_H) (M_H: ``norm_p``)
+    from above, so that ||D^T q||^2_{A^{-1}} <= beta ||q||_H^2.
+
     Frozen: derived systems are built with :func:`dataclasses.replace`.
     Sources must be pure functions of time.
     """
@@ -57,10 +61,9 @@ class CoupledSystem:
     norm_p_grad: object         # matrix of the pressure gradient norm
     norm_p: object              # matrix of the pressure L2-like norm
     elastic_coercivity: float
-    elastic_continuity: float
     flow_coercivity: float
     storage_coercivity: float
-    coupling_bound: float
+    coupling_constant: float    # beta
     load_u: Callable[[float], np.ndarray]
     load_p: Callable[[float], np.ndarray]
     u0: np.ndarray
@@ -247,11 +250,11 @@ def make_toy(omega: float) -> CoupledSystem:
         raise InvalidParameter(f"omega must be positive, got {omega}")
     base = _TOY_BASE / (2.0 - math.sqrt(2.0))
     coupling = math.sqrt(omega) * _TOY_ROW[None, :]
-    eig = np.linalg.eigvalsh(base)
+    a_factor = factorize(base)
 
     f_const = np.ones(3)
     p0 = np.zeros(1)
-    u0 = factorize(base).solve(coupling.T @ p0 + f_const)
+    u0 = a_factor.solve(coupling.T @ p0 + f_const)
 
     sys = CoupledSystem(
         elasticity=base,
@@ -261,11 +264,10 @@ def make_toy(omega: float) -> CoupledSystem:
         norm_u=np.eye(3),
         norm_p_grad=np.eye(1),
         norm_p=np.eye(1),
-        elastic_coercivity=float(eig[0]),
-        elastic_continuity=float(eig[-1]),
+        elastic_coercivity=float(np.linalg.eigvalsh(base)[0]),
         flow_coercivity=1.0,
         storage_coercivity=1.0,
-        coupling_bound=float(np.linalg.norm(coupling)),
+        coupling_constant=float((coupling @ a_factor.solve(coupling.T))[0, 0]),
         load_u=lambda t: f_const,
         load_p=lambda t: np.array([_TOY_FORCING * math.sin(t)]),
         u0=u0,
@@ -322,13 +324,12 @@ def make_network_toy(count: int, alphas, storage_moduli, mobilities,
         coupling[i, 3 * i:3 * i + 3] = alphas[i] * _TOY_ROW
     storage = np.diag(1.0 / moduli)
     flow = np.diag(mob) + ex
-    eig_a = np.linalg.eigvalsh(base)
-    eig_b = np.linalg.eigvalsh(flow)
+    a_factor = factorize(elasticity)
 
     f_const = np.ones(3 * count)
     amp = _TOY_FORCING * np.ones(count)
     p0 = np.zeros(count)
-    u0 = factorize(elasticity).solve(coupling.T @ p0 + f_const)
+    u0 = a_factor.solve(coupling.T @ p0 + f_const)
 
     sys = CoupledSystem(
         elasticity=elasticity,
@@ -338,11 +339,12 @@ def make_network_toy(count: int, alphas, storage_moduli, mobilities,
         norm_u=np.eye(3 * count),
         norm_p_grad=np.eye(count),
         norm_p=np.eye(count),
-        elastic_coercivity=float(eig_a[0]),
-        elastic_continuity=float(eig_a[-1]),
-        flow_coercivity=float(eig_b[0]),
+        elastic_coercivity=float(np.linalg.eigvalsh(base)[0]),
+        flow_coercivity=float(np.linalg.eigvalsh(flow)[0]),
         storage_coercivity=float((1.0 / moduli).min()),
-        coupling_bound=float(np.linalg.svd(coupling, compute_uv=False)[0]),
+        # norm_p is the identity: beta is the top eigenvalue of D A^{-1} D^T
+        coupling_constant=float(np.linalg.eigvalsh(
+            coupling @ a_factor.solve(coupling.T))[-1]),
         load_u=lambda t: f_const,
         load_p=lambda t: amp * math.sin(t),
         u0=u0,

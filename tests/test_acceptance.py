@@ -18,8 +18,7 @@ from porosplit.bdf import coefficients, exact_coefficients, scheme
 from porosplit.linalg import factorize, weighted_norm_sq
 from porosplit.splitsolve import (SplitConfig, contraction_factor,
                                   default_stabilization, integrate,
-                                  predict_iterations,
-                                  stabilization_for_contraction)
+                                  predict_iterations)
 from porosplit.system import CoupledSystem, make_network_toy, make_toy
 
 TABLE4 = {
@@ -284,9 +283,8 @@ def _single_network(alpha, modulus, mobility):
         storage=np.array([[1.0 / modulus]]), coupling=coup,
         norm_u=np.eye(3), norm_p_grad=np.eye(1), norm_p=np.eye(1),
         elastic_coercivity=float(eig[0]),
-        elastic_continuity=float(eig[-1]),
         flow_coercivity=mobility, storage_coercivity=1.0 / modulus,
-        coupling_bound=alpha,
+        coupling_constant=float((coup @ np.linalg.solve(base, coup.T))[0, 0]),
         load_u=lambda t: np.ones(3),
         load_p=lambda t: np.array([100.0 * math.sin(t)]),
         u0=factorize(base).solve(np.ones(3)), p0=np.zeros(1),

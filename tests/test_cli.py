@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from porosplit import cli, fem2d, studies
+from porosplit import cli, fem2d, splitsolve, studies
 from porosplit.bdf import scheme
 from porosplit.linalg import weighted_norm_sq
 from porosplit.splitsolve import SplitConfig, integrate
@@ -280,9 +280,8 @@ class TestProblemDispatch:
                             capsys.readouterr().out).group(1)
         sys_obj = fem2d.manufactured_system(4)
         tau = 2.0 ** -3
-        traj = integrate(sys_obj, SplitConfig(tol=tau ** 2.5,
-                                              gamma_target=0.4),
-                         scheme(1), tau, 1.0)
+        traj = integrate(sys_obj, SplitConfig(tol=tau ** 2.5), scheme(1),
+                         tau, 1.0)
         diff = traj.ps[-1] - sys_obj.exact_p(1.0)
         want = math.sqrt(weighted_norm_sq(sys_obj.norm_p, diff))
         assert printed == f"{want:.3e}"
@@ -432,13 +431,25 @@ class TestOptionTable:
         assert parse_config(["stability", "--config", str(path),
                              "--seed", "7"]).seed == 7
 
-    @pytest.mark.parametrize("sub, gamma", [("toy", 0.5), ("biot2d", 0.4),
-                                            ("network", 0.4)])
-    def test_gamma_default_gives_way_to_L(self, sub, gamma, tmp_path):
-        assert parse_config([sub]).gamma == gamma
-        cfg = parse_config([sub, "--L", "2"])
-        assert (cfg.gamma, cfg.stabilization) == (None, 2.0)
-        path = tmp_path / "run.cfg"
-        path.write_text("L = 2\n")
-        assert parse_config([sub, "--config", str(path)]).gamma is None
-        assert f"gamma = {gamma}" in parse_config([sub]).summary()
+    @pytest.mark.parametrize("sub", ["toy", "biot2d", "network"])
+    def test_run_without_gamma_or_L_uses_beta(self, sub, tmp_path, capsys,
+                                              monkeypatch):
+        runs = []
+        original = splitsolve.integrate
+
+        def recording(sys_obj, *args, **kwargs):
+            runs.append((sys_obj, original(sys_obj, *args, **kwargs)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(splitsolve, "integrate", recording)
+        argv = [sub, "--tau", "2^-3"] + (["--n", "4"] if sub == "biot2d"
+                                         else [])
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+        (sys_obj, traj), = runs
+        assert traj.stabilization == sys_obj.coupling_constant
+        if sub == "biot2d":
+            assert traj.stabilization == 0.9
+        capsys.readouterr()
+        assert main(argv + ["--dry-run"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert not [line for line in lines if line.split()[0] == "gamma"]

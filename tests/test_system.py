@@ -26,8 +26,8 @@ class TestMakeToy:
         # scaling normalizes the smallest one to 1
         toy = make_toy(1.0)
         assert toy.elastic_coercivity == pytest.approx(1.0, abs=1e-12)
-        assert toy.elastic_continuity == pytest.approx(3.0 + 2.0 * math.sqrt(2.0),
-                                                       rel=1e-12)
+        assert np.linalg.eigvalsh(toy.elasticity)[-1] == pytest.approx(
+            3.0 + 2.0 * math.sqrt(2.0), rel=1e-12)
 
     def test_schur_complement_value(self):
         toy = make_toy(2.0)
@@ -229,6 +229,17 @@ class TestExactConstants:
         consts = exact_discrete_constants(toy)
         assert consts["elastic_coercivity"] == pytest.approx(
             toy.elastic_coercivity, rel=1e-10)
-        assert consts["coupling_bound"] == pytest.approx(
-            toy.coupling_bound, rel=1e-10)
+        assert consts["coupling_constant"] == pytest.approx(
+            toy.coupling_constant, rel=1e-10)
         assert consts["storage_coercivity"] == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("sys", [
+        make_toy(2.0), make_toy(0.25),
+        make_network_toy(2, [0.4, 0.2], [1.0, 2.0], [1.0, 0.5],
+                         {(0, 1): 0.05}),
+        make_network_toy(3, [0.4, 0.2, 0.4], [1.0, 2.0, 3.0],
+                         [1.0, 1.0, 1.0], {(0, 1): 1e-3}),
+    ], ids=["toy-2", "toy-0.25", "network-2", "network-3"])
+    def test_coupling_constant_is_the_sharp_value(self, sys):
+        sharp = exact_discrete_constants(sys)["coupling_constant"]
+        assert sys.coupling_constant == pytest.approx(sharp, rel=1e-12)

@@ -2,8 +2,8 @@
 
 Residual and defect functions that check the library's outputs against
 the equations they are meant to solve: the coupled system's residuals,
-the BDF difference quotient and its defect, the coupling strength and
-the sharp discrete constants of a system, a finite-difference check
+the BDF difference quotient and its defect, the sharp discrete constants
+of a system and the coupling strength they give, a finite-difference check
 that the manufactured Biot sources match their prescribed fields, and
 a plain evaluation of the stability boundary criterion that samples the
 circle on every call. Nothing in ``porosplit`` needs them.
@@ -38,36 +38,41 @@ def residual_coupled(sys: CoupledSystem, u, p, du, dp,
 
 
 def coupling_strength(sys: CoupledSystem) -> float:
-    """Dimensionless elliptic-parabolic interaction strength C_d^2 / (c_a c_c)."""
-    return sys.coupling_bound ** 2 / (sys.elastic_coercivity
-                                      * sys.storage_coercivity)
+    """Dimensionless elliptic-parabolic interaction strength C_d^2 / (c_a c_c),
+    from the sharp constants of :func:`exact_discrete_constants`."""
+    sharp = exact_discrete_constants(sys)
+    return sharp["coupling_bound"] ** 2 / (sharp["elastic_coercivity"]
+                                           * sharp["storage_coercivity"])
 
 
 def exact_discrete_constants(sys: CoupledSystem) -> dict[str, float]:
-    """Extreme generalized eigenvalues of the forms against their norms.
+    """Sharp constants of the forms against their norms, computed densely.
 
-    Intended for small systems; returns the sharp values of the five
-    constants a :class:`CoupledSystem` carries: the coercivities of the
-    elastic, flow and storage forms, the elastic continuity and the
-    coupling bound.
+    Intended for small systems; returns the sharp values of the four
+    constants a :class:`CoupledSystem` carries (the coercivities of the
+    elastic, flow and storage forms and the coupling constant
+    beta = lambda_max(D A^{-1} D^T, M_H)) and the coupling bound
+    C_d = sup d(u, p) / (|u|_V |p|_H).
     """
-    def extremes(op, norm):
-        vals = scipy.linalg.eigh(as_array(op), as_array(norm),
-                                 eigvals_only=True)
-        return float(vals[0]), float(vals[-1])
+    def lowest(op, norm):
+        return float(scipy.linalg.eigh(as_array(op), as_array(norm),
+                                       eigvals_only=True)[0])
 
-    c_a, big_a = extremes(sys.elasticity, sys.norm_u)
-    c_b = extremes(sys.flow_stiffness, sys.norm_p_grad)[0]
-    c_c = extremes(sys.storage, sys.norm_p)[0]
-    # sharp coupling bound: sup d(u,p) / (|u|_V |p|_H) via a generalized SVD
+    a = as_array(sys.elasticity)
+    d = as_array(sys.coupling)
+    schur = d @ np.linalg.solve(a, d.T)
+    beta = float(scipy.linalg.eigh(schur, as_array(sys.norm_p),
+                                   eigvals_only=True)[-1])
+    # C_d through a generalized SVD
     nu = scipy.linalg.cholesky(as_array(sys.norm_u), lower=False)
     nh = scipy.linalg.cholesky(as_array(sys.norm_p), lower=False)
-    core = np.linalg.solve(nh.T, as_array(sys.coupling)) @ np.linalg.inv(nu)
+    core = np.linalg.solve(nh.T, d) @ np.linalg.inv(nu)
     c_d = float(np.linalg.svd(core, compute_uv=False)[0])
     return {
-        "elastic_coercivity": c_a, "elastic_continuity": big_a,
-        "flow_coercivity": c_b, "storage_coercivity": c_c,
-        "coupling_bound": c_d,
+        "elastic_coercivity": lowest(a, sys.norm_u),
+        "flow_coercivity": lowest(sys.flow_stiffness, sys.norm_p_grad),
+        "storage_coercivity": lowest(sys.storage, sys.norm_p),
+        "coupling_constant": beta, "coupling_bound": c_d,
     }
 
 
