@@ -16,9 +16,10 @@ resolves as
 each source overriding the ones before it.
 
 Exit codes: 0 success, 2 usage errors, 3 configuration validation errors,
-4 numerical/solver failures, 5 I/O failures. Outputs are written
-atomically (temp file + rename) into the output directory resolved from
---out, the POROSPLIT_OUT environment variable, or ./porosplit-out.
+4 numerical/solver failures, 5 I/O failures; a closed stdout is not one.
+Outputs are written atomically (temp file + rename) into the output
+directory resolved from --out, the POROSPLIT_OUT environment variable, or
+./porosplit-out, before anything is printed.
 """
 
 from __future__ import annotations
@@ -216,17 +217,14 @@ class RunConfig:
     def validate(self) -> None:
         if self.gamma is not None and self.stabilization is not None:
             raise ValidationError("--gamma and --L are mutually exclusive")
-        for name, value in (("tau", self.tau), ("T", self.t_end),
-                            ("tol", self.tol), ("s", self.tol_exponent),
+        for name, value in (("tol", self.tol), ("s", self.tol_exponent),
                             ("omega", self.omega)):
             if value is not None and not (math.isfinite(value) and value > 0.0):
                 raise ValidationError(
                     f"{name} must be finite and positive, got {value}")
-        for name, values in (("taus", self.taus or []),
-                             ("omegas", self.omegas)):
-            if not all(math.isfinite(v) and v > 0.0 for v in values):
-                raise ValidationError(
-                    f"{name} must be finite and positive, got {values}")
+        if not all(math.isfinite(v) and v > 0.0 for v in self.omegas):
+            raise ValidationError(
+                f"omegas must be finite and positive, got {self.omegas}")
         if self.stabilization is not None and not (
                 math.isfinite(self.stabilization) and self.stabilization >= 0.0):
             raise ValidationError(
@@ -240,6 +238,8 @@ class RunConfig:
         for k in self.orders:
             if not 1 <= k <= 5:
                 raise ValidationError(f"k must be in 1..5, got {k}")
+            if self.orders.count(k) > 1:
+                raise ValidationError(f"ks repeat k={k}; each order runs once")
         taus = self.taus or []
         for tau in taus:
             if taus.count(tau) > 1:
@@ -247,16 +247,12 @@ class RunConfig:
                     f"taus repeat tau={tau:g}; each step runs once")
         k_max = max(self.orders if self.subcommand == "iters"
                     else [self.order])
+        # tau and T: finite, positive, and T/tau a whole number >= k
         for tau in ([] if self.tau is None else [self.tau]) + taus:
-            steps = self.t_end / tau
-            if abs(steps - round(steps)) > 1e-9:
-                raise ValidationError(
-                    f"tau={tau:g} does not divide T={self.t_end:g}")
-            if round(steps) < k_max:
-                raise ValidationError(
-                    f"tau={tau:g} gives T/tau = {round(steps)} on "
-                    f"T={self.t_end:g}; BDF-{k_max} needs at least "
-                    f"{k_max} steps")
+            try:
+                splitsolve.step_count(tau, self.t_end, k_max)
+            except ValueError as exc:
+                raise ValidationError(str(exc)) from exc
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
             raise ValidationError("gamma must lie in (0, 1)")
 
@@ -469,25 +465,27 @@ def _run_balance(cfg: RunConfig) -> int:
 
 def _run_iters(cfg: RunConfig) -> int:
     out = cfg.resolved_out()
-    for k in cfg.orders:
-        result = studies.iteration_study(k, cfg.omegas, cfg.gammas, cfg.taus,
-                                         t_end=cfg.t_end)
-        path = out / f"iterations_{k}.csv"
-        _write_atomic(path, result.report.to_csv())
+    results = {k: studies.iteration_study(k, cfg.omegas, cfg.gammas, cfg.taus,
+                                          t_end=cfg.t_end)
+               for k in cfg.orders}
+    paths = {k: out / f"iterations_{k}.csv" for k in cfg.orders}
+    for k, result in results.items():
+        _write_atomic(paths[k], result.report.to_csv())
+    for k, result in results.items():
         print(f"k={k}:")
         for omega in cfg.omegas:
             for gamma in cfg.gammas:
                 row = [result.cells[(omega, gamma, tau)]["rounded"]
                        for tau in cfg.taus]
                 print(f"  omega={omega:g} gamma={gamma:g}: {row}")
-        print(f"wrote {path}")
+        print(f"wrote {paths[k]}")
     return EXIT_OK
 
 
 def _run_stability(cfg: RunConfig) -> int:
     out = cfg.resolved_out()
     lines = ["k,eta,min_real_part,identity_residual"]
-    print(f"{'k':>2} {'eta':>8} {'min Re':>12} {'identity residual':>18}")
+    rows = [f"{'k':>2} {'eta':>8} {'min Re':>12} {'identity residual':>18}"]
     for k in range(1, 6):
         cert = stability.certificate(k)
         resid = ""
@@ -498,12 +496,13 @@ def _run_stability(cfg: RunConfig) -> int:
             resid_txt = f"{resid:.3e}"
         else:
             resid_txt = "-"
-        print(f"{k:>2} {cert.multiplier:>8.4f} {cert.min_real_part:>12.3e} "
-              f"{resid_txt:>18}")
+        rows.append(f"{k:>2} {cert.multiplier:>8.4f} "
+                    f"{cert.min_real_part:>12.3e} {resid_txt:>18}")
         lines.append(f"{k},{cert.multiplier!r},{cert.min_real_part!r},"
                      f"{resid!r}" if k <= 2 else
                      f"{k},{cert.multiplier!r},{cert.min_real_part!r},")
     _write_atomic(out / "stability.csv", "\n".join(lines) + "\n")
+    print("\n".join(rows))
     print(f"wrote {out / 'stability.csv'}")
     return EXIT_OK
 
@@ -520,6 +519,9 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    """Run one invocation and return its exit code. A reader that closes
+    stdout early finds the files written and gets exit code 0; stdout is
+    then pointed at devnull, so the flush at exit does not fail again."""
     try:
         cfg = parse_config(argv)
     except UsageError as exc:
@@ -528,11 +530,17 @@ def main(argv=None) -> int:
     except (ValidationError, UnsupportedOrder) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
-    if cfg.dry_run:
-        print(cfg.summary())
-        return EXIT_OK
     try:
-        return _DISPATCH[cfg.subcommand](cfg)
+        if cfg.dry_run:
+            print(cfg.summary())
+            code = EXIT_OK
+        else:
+            code = _DISPATCH[cfg.subcommand](cfg)
+        _sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        return EXIT_OK
     except (ValidationError, UnsupportedOrder, system.InvalidParameter,
             ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

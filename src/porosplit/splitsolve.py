@@ -52,6 +52,7 @@ __all__ = [
     "StepperWork",
     "step_split",
     "step_implicit",
+    "step_count",
     "integrate",
 ]
 
@@ -428,6 +429,27 @@ def _startup_states(work: StepperWork, initial_history
     return us, ps
 
 
+def step_count(tau: float, t_end: float, k: int) -> int:
+    """The number of steps tau takes over [0, t_end] with BDF-k.
+
+    ``ValueError`` unless tau and t_end are finite and positive, tau
+    divides t_end (to 1e-9 in T/tau) and T/tau >= k.
+    """
+    for name, value in (("tau", tau), ("T", t_end)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    steps = t_end / tau
+    if not math.isfinite(steps):
+        raise ValueError(f"tau={tau:g} gives T/tau = {steps} on T={t_end:g}")
+    n_steps = round(steps)
+    if abs(steps - n_steps) > 1e-9:
+        raise ValueError(f"tau={tau:g} does not divide T={t_end:g}")
+    if n_steps < k:
+        raise ValueError(f"tau={tau:g} gives T/tau = {n_steps} on T={t_end:g}; "
+                         f"BDF-{k} needs at least {k} steps")
+    return n_steps
+
+
 def integrate(sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
               tau: float, t_end: float, mode: str = "split",
               initial_history=None) -> Trajectory:
@@ -440,18 +462,11 @@ def integrate(sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
     otherwise from implicit steps of orders 1..k-1 (the bootstrap). The
     run's one :class:`StepperWork` resolves L, the termination weights and
     the prediction factor before the first step, and factors each block on
-    its first solve; the trajectory records the L used.
+    its first solve; the trajectory records the L used. The step grid is
+    checked first, by :func:`step_count`.
     """
-    if tau <= 0.0 or t_end <= 0.0:
-        raise ValueError("tau and t_end must be positive")
-    steps = t_end / tau
-    n_steps = round(steps)
-    if abs(steps - n_steps) > 1e-9 or n_steps < 1:
-        raise ValueError(f"t_end={t_end} is not an integral multiple of tau={tau}")
     k = sch.order
-    if n_steps < k:
-        raise ValueError(f"need at least {k} steps for BDF-{k}, got {n_steps}")
-
+    n_steps = step_count(tau, t_end, k)
     work = StepperWork(sys, cfg, sch, tau, mode)
     us, ps = _startup_states(work, initial_history)
     hist_u = History(k, us)

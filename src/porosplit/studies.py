@@ -344,7 +344,12 @@ def iteration_study(order: int, omegas, gammas, taus, t_end: float = 1.0,
     the counts grow by only about k + 1/2 per halving of tau at
     gamma = 1/2, and no constant factor fits the table with it. The rule
     leaves the gamma = 0.1 rows about one sweep below the table.
+
+    An omega, gamma or tau listed twice is rejected before the first run.
     """
+    for name, values in (("omegas", omegas), ("gammas", gammas),
+                         ("taus", taus)):
+        _check_distinct(name, sorted(values))
     build = make_system or make_toy
     k = order
     sch = make_scheme(k)

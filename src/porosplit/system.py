@@ -6,9 +6,10 @@ measures and the termination functional, the three coercivity constants
 and the coupling constant of the underlying bilinear forms,
 time-dependent sources, and consistent initial data.
 
-Two concrete families are built here: the 3+1 scalar toy problem
-(tridiagonal elasticity, scalar pressure, sinusoidal forcing) and its
-multiple-network extension with inter-network exchange. Both are linear
+One concrete family is built here, by one constructor: the
+multiple-network toy (one tridiagonal elastic block and one scalar
+pressure per network, inter-network exchange, sinusoidal forcing), whose
+one-network case without exchange is the 3+1 scalar toy. It is linear
 with constant coefficients, so exact solutions are available through a
 modal decomposition and get attached as evaluators.
 """
@@ -120,33 +121,33 @@ def semidiscrete_solution(sys: CoupledSystem, shape: tuple[str, float]):
     if not abs(b - b.T).max() <= 1e-12 * max(abs(b).max(), 1e-300):
         raise InvalidParameter("modal solution needs a symmetric flow operator")
 
-    def _check(claim: bool, what: str):
-        if not claim:
+    def _check(probe: np.ndarray, model: np.ndarray, ref: np.ndarray,
+               rel: float, what: str):
+        """Reject unless ``probe`` is within rel * (max |ref| + 1) of
+        ``model`` in every entry."""
+        if not np.abs(probe - model).max() <= rel * (np.abs(ref).max() + 1.0):
             raise InvalidParameter(f"sources do not match the declared {kind} shape: {what}")
 
     if kind == "sin":
         freq = float(par)
         f0 = sys.load_u(0.0)
         for t_probe in (0.37, 1.13):
-            _check(np.allclose(sys.load_u(t_probe), f0, rtol=0,
-                               atol=1e-12 * (np.abs(f0).max() + 1.0)),
+            _check(sys.load_u(t_probe), f0, f0, 1e-12,
                    "f must be constant in time")
         g_hat = sys.load_p(0.5 * math.pi / freq)
         probe = 0.7 / freq
-        _check(np.allclose(sys.load_p(probe), math.sin(freq * probe) * g_hat,
-                           rtol=0, atol=1e-10 * (np.abs(g_hat).max() + 1.0)),
-               "g must be sinusoidal")
+        _check(sys.load_p(probe), math.sin(freq * probe) * g_hat, g_hat,
+               1e-10, "g must be sinusoidal")
 
     elif kind == "exp":
         rate = float(par)
         f0 = sys.load_u(0.0)
         g0 = sys.load_p(0.0)
         for t_probe in (0.37, 1.13):
-            _check(np.allclose(sys.load_u(t_probe), math.exp(-rate * t_probe) * f0,
-                               rtol=0, atol=1e-10 * (np.abs(f0).max() + 1.0)),
+            decay = math.exp(-rate * t_probe)
+            _check(sys.load_u(t_probe), decay * f0, f0, 1e-10,
                    "f must decay exponentially")
-            _check(np.allclose(sys.load_p(t_probe), math.exp(-rate * t_probe) * g0,
-                               rtol=0, atol=1e-10 * (np.abs(g0).max() + 1.0)),
+            _check(sys.load_p(t_probe), decay * g0, g0, 1e-10,
                    "g must decay exponentially")
 
     else:
@@ -229,9 +230,10 @@ def time_shifted(sys: CoupledSystem, t0: float) -> CoupledSystem:
 # ---------------------------------------------------------------------------
 # Concrete instances
 
-_TOY_BASE = np.array([[2.0, -1.0, 0.0],
-                      [-1.0, 2.0, -1.0],
-                      [0.0, -1.0, 2.0]])
+# The toy elastic block, scaled so its smallest eigenvalue is 1.
+_TOY_BLOCK = np.array([[2.0, -1.0, 0.0],
+                       [-1.0, 2.0, -1.0],
+                       [0.0, -1.0, 2.0]]) / (2.0 - math.sqrt(2.0))
 _TOY_ROW = np.array([2.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0])
 _TOY_FORCING = 100.0
 
@@ -239,44 +241,16 @@ _TOY_FORCING = 100.0
 def make_toy(omega: float) -> CoupledSystem:
     """Scalar toy problem: 3-dim elasticity, one pressure unknown.
 
-    Elasticity is ``tridiag(-1, 2, -1) / (2 - sqrt(2))`` (scaled so its
-    smallest eigenvalue is 1), storage and flow stiffness are 1, and the
-    coupling row is ``sqrt(omega) [2/3, 1/3, 2/3]`` whose norm is 1 -- so
-    the constructed coupling strength equals ``omega`` exactly. Sources:
-    f constant one-vector, g(t) = 100 sin(t), zero initial pressure with
-    consistent initial displacement.
+    The one-network case of the network toy (:func:`make_network_toy`
+    itself needs two): alpha = sqrt(omega), modulus 1, mobility 1, no
+    exchange. The toy row [2/3, 1/3, 2/3] has norm 1, so the constructed
+    coupling strength equals ``omega`` exactly.
     """
-    if omega <= 0.0:
-        raise InvalidParameter(f"omega must be positive, got {omega}")
-    base = _TOY_BASE / (2.0 - math.sqrt(2.0))
-    coupling = math.sqrt(omega) * _TOY_ROW[None, :]
-    a_factor = factorize(base)
-
-    f_const = np.ones(3)
-    p0 = np.zeros(1)
-    u0 = a_factor.solve(coupling.T @ p0 + f_const)
-
-    sys = CoupledSystem(
-        elasticity=base,
-        flow_stiffness=np.array([[1.0]]),
-        storage=np.array([[1.0]]),
-        coupling=coupling,
-        norm_u=np.eye(3),
-        norm_p_grad=np.eye(1),
-        norm_p=np.eye(1),
-        elastic_coercivity=float(np.linalg.eigvalsh(base)[0]),
-        flow_coercivity=1.0,
-        storage_coercivity=1.0,
-        coupling_constant=float((coupling @ a_factor.solve(coupling.T))[0, 0]),
-        load_u=lambda t: f_const,
-        load_p=lambda t: np.array([_TOY_FORCING * math.sin(t)]),
-        u0=u0,
-        p0=p0,
-        label=f"toy(omega={omega:g})",
-    )
-    u, p = semidiscrete_solution(sys, ("sin", 1.0))
-    return replace(sys, exact_u=u, exact_p=p, semidiscrete_u=u,
-                   semidiscrete_p=p)
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise InvalidParameter(f"omega must be finite and positive, got {omega}")
+    one = np.ones(1)
+    return _toy_family(math.sqrt(omega) * one, one, one, np.zeros((1, 1)),
+                       f"toy(omega={omega:g})")
 
 
 def make_network_toy(count: int, alphas, storage_moduli, mobilities,
@@ -284,14 +258,16 @@ def make_network_toy(count: int, alphas, storage_moduli, mobilities,
     """Multiple-network extension of the toy problem.
 
     Each of the ``count`` pressure networks is scalar and owns a copy of
-    the toy elastic block; network i couples to its block through
-    ``alphas[i]`` times the toy coupling row, stores with compliance
-    ``1/storage_moduli[i]`` and flows with ``mobilities[i]``. The networks
-    interact only through ``exchange``, mapping pairs (i, j) to the rate
-    beta_ij >= 0 used symmetrically in both network equations; the
-    assembled exchange block has zero row sums, so constant pressures see
-    no exchange and beta = 0 decouples the networks completely. All
-    networks are forced with g_i(t) = 100 sin(t).
+    the toy elastic block ``tridiag(-1, 2, -1) / (2 - sqrt(2))`` (scaled
+    so its smallest eigenvalue is 1); network i couples to its block
+    through ``alphas[i]`` times the toy coupling row [2/3, 1/3, 2/3],
+    stores with compliance ``1/storage_moduli[i]`` and flows with
+    ``mobilities[i]``. The networks interact only through ``exchange``,
+    mapping pairs (i, j) to the rate beta_ij >= 0 used symmetrically in
+    both network equations; the assembled exchange block has zero row
+    sums, so constant pressures see no exchange and beta = 0 decouples the
+    networks completely. Sources: f the constant one-vector, g_i(t) = 100
+    sin(t); zero initial pressure with consistent initial displacement.
     """
     if count < 2:
         raise InvalidParameter("network toy needs at least two networks")
@@ -306,23 +282,30 @@ def make_network_toy(count: int, alphas, storage_moduli, mobilities,
             raise InvalidParameter(
                 f"{name} must be finite and positive, got {values.tolist()}")
 
-    beta = np.zeros((count, count))
+    rates = np.zeros((count, count))
     for (i, j), rate in dict(exchange).items():
         if i == j or not (0 <= i < count and 0 <= j < count):
             raise InvalidParameter(f"bad exchange pair {(i, j)}")
         if not (math.isfinite(rate) and rate >= 0):
             raise InvalidParameter(f"exchange rate of pair {(i, j)} must "
                                    f"be finite and nonnegative, got {rate}")
-        beta[i, j] = rate
-        beta[j, i] = rate
-    ex = np.diag(beta.sum(axis=1)) - beta
+        rates[i, j] = rate
+        rates[j, i] = rate
+    return _toy_family(alphas, moduli, mob, np.diag(rates.sum(axis=1)) - rates,
+                       f"network-toy(J={count})")
 
-    base = _TOY_BASE / (2.0 - math.sqrt(2.0))
-    elasticity = np.kron(np.eye(count), base)
+
+def _toy_family(alphas: np.ndarray, moduli: np.ndarray, mob: np.ndarray,
+                ex: np.ndarray, label: str) -> CoupledSystem:
+    """The network toy of checked parameter arrays and exchange block
+    ``ex``, for any number of networks."""
+    count = len(alphas)
+    elasticity = np.zeros((3 * count, 3 * count))
     coupling = np.zeros((count, 3 * count))
     for i in range(count):
-        coupling[i, 3 * i:3 * i + 3] = alphas[i] * _TOY_ROW
-    storage = np.diag(1.0 / moduli)
+        block = slice(3 * i, 3 * i + 3)
+        elasticity[block, block] = _TOY_BLOCK
+        coupling[i, block] = alphas[i] * _TOY_ROW
     flow = np.diag(mob) + ex
     a_factor = factorize(elasticity)
 
@@ -334,22 +317,23 @@ def make_network_toy(count: int, alphas, storage_moduli, mobilities,
     sys = CoupledSystem(
         elasticity=elasticity,
         flow_stiffness=flow,
-        storage=storage,
+        storage=np.diag(1.0 / moduli),
         coupling=coupling,
         norm_u=np.eye(3 * count),
         norm_p_grad=np.eye(count),
         norm_p=np.eye(count),
-        elastic_coercivity=float(np.linalg.eigvalsh(base)[0]),
+        elastic_coercivity=float(np.linalg.eigvalsh(_TOY_BLOCK)[0]),
         flow_coercivity=float(np.linalg.eigvalsh(flow)[0]),
         storage_coercivity=float((1.0 / moduli).min()),
-        # norm_p is the identity: beta is the top eigenvalue of D A^{-1} D^T
-        coupling_constant=float(np.linalg.eigvalsh(
-            coupling @ a_factor.solve(coupling.T))[-1]),
+        # norm_p is the identity and D A^{-1} D^T is diagonal (network i
+        # couples only to block i): beta is its largest diagonal entry
+        coupling_constant=float(np.diag(
+            coupling @ a_factor.solve(coupling.T)).max()),
         load_u=lambda t: f_const,
         load_p=lambda t: amp * math.sin(t),
         u0=u0,
         p0=p0,
-        label=f"network-toy(J={count})",
+        label=label,
     )
     u, p = semidiscrete_solution(sys, ("sin", 1.0))
     return replace(sys, exact_u=u, exact_p=p, semidiscrete_u=u,

@@ -235,6 +235,19 @@ class TestStudySubcommands:
         assert study_runs == []
         assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("grid, message", [
+        (["--omegas", "2,2", "--gammas", "0.5,0.5"], "omegas repeat 2"),
+        (["--gammas", "0.5,0.1,0.5"], "gammas repeat 0.5"),
+        (["--ks", "1,2,1"], "ks repeat k=1"),
+    ])
+    def test_iters_names_a_repeated_grid_value_before_any_run(
+            self, grid, message, tmp_path, capsys, study_runs):
+        argv = ["iters", "--ks", "1", "--taus", "2^-3,2^-4", *grid]
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert study_runs == []
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv, message", [
         (["convergence", "--problem", "toy", "--k", "3", "--taus",
           "2^-2,2^-3", "--T", "0.5"],
@@ -331,6 +344,46 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, env=env, cwd=root, timeout=60)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.startswith("porosplit biot2d")
+
+
+class TestClosedStdout:
+    """A reader that leaves early finds a finished run: every subcommand
+    writes its files before it prints."""
+
+    # Unbuffered, each print meets the closed pipe at once; buffered, the
+    # first flush does.
+    @pytest.mark.parametrize("argv, files, unbuffered", [
+        (["stability"], ["stability.csv"], "1"),
+        (["stability"], ["stability.csv"], ""),
+        (["toy", "--tau", "2^-3"], ["toy_steps_1.csv"], "1"),
+        (["iters", "--ks", "1,2", "--omegas", "2", "--gammas", "0.5",
+          "--taus", "2^-3,2^-4"], ["iterations_1.csv", "iterations_2.csv"],
+         "1"),
+    ])
+    def test_exits_ok_with_its_files_and_no_stderr(self, argv, files,
+                                                   unbuffered, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"),
+                   PYTHONUNBUFFERED=unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)              # closed before the child prints
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "porosplit", *argv, "--out",
+                 str(tmp_path)], stdout=write_end, stderr=subprocess.PIPE,
+                text=True, env=env, cwd=root, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+    def test_an_output_file_that_cannot_be_written_exits_5(self, tmp_path,
+                                                           capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["stability", "--out", str(blocker / "out")]) == EXIT_IO
+        assert "i/o failure" in capsys.readouterr().err
 
 
 class TestBadNumericInput:

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -313,6 +314,34 @@ class TestIntegrate:
         cfg = SplitConfig(tol=1e-6)
         with pytest.raises(ValueError):
             integrate(toy, cfg, scheme(1), 0.3, 1.0)
+
+    @pytest.mark.parametrize("tau, t_end, message", [
+        (math.nan, 1.0, "tau must be finite and positive, got nan"),
+        (math.inf, 1.0, "tau must be finite and positive, got inf"),
+        (0.125, math.inf, "T must be finite and positive, got inf"),
+        (0.125, math.nan, "T must be finite and positive, got nan"),
+    ])
+    def test_non_finite_step_grid_is_named(self, toy, tau, t_end, message):
+        with pytest.raises(ValueError, match=message):
+            integrate(toy, SplitConfig(tol=1e-6), scheme(1), tau, t_end)
+
+
+class TestStepCount:
+    def test_counts_the_steps(self):
+        assert ss.step_count(0.125, 1.0, 3) == 8
+        assert ss.step_count(0.1, 0.3, 3) == 3
+
+    @pytest.mark.parametrize("tau, t_end, k, message", [
+        (0.3, 1.0, 1, "tau=0.3 does not divide T=1"),
+        (0.25, 0.5, 3, "tau=0.25 gives T/tau = 2 on T=0.5; BDF-3 needs at "
+                       "least 3 steps"),
+        (0.0, 1.0, 1, "tau must be finite and positive, got 0.0"),
+        (0.125, -1.0, 1, "T must be finite and positive, got -1.0"),
+        (5e-324, 1.0, 1, "T/tau = inf"),
+    ])
+    def test_rejects_with_the_cause(self, tau, t_end, k, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ss.step_count(tau, t_end, k)
 
     def test_exact_startup_seeds(self, toy):
         sch = scheme(3)

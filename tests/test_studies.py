@@ -145,6 +145,17 @@ class TestIterationStudy:
         counts = [res.cells[(2.0, g, 0.125)]["mean"] for g in (0.5, 0.25, 0.1)]
         assert counts[0] >= counts[1] >= counts[2]
 
+    @pytest.mark.parametrize("omegas, gammas, taus, message", [
+        ([2.0, 2.0], [0.5], [0.125, 0.0625], "omegas repeat 2"),
+        ([2.0, 4.0], [0.5, 0.1, 0.5], [0.125], "gammas repeat 0.5"),
+        ([2.0], [0.5], [0.125, 0.0625, 0.125], "taus repeat 0.125"),
+    ])
+    def test_repeats_rejected_before_any_run(self, study_runs, omegas,
+                                             gammas, taus, message):
+        with pytest.raises(ValueError, match=message):
+            iteration_study(1, omegas, gammas, taus)
+        assert study_runs == []
+
     def test_csv_schema(self):
         res = iteration_study(1, omegas=[2.0], gammas=[0.5], taus=[0.125])
         lines = res.report.to_csv().strip().splitlines()

@@ -55,6 +55,34 @@ class TestMakeToy:
         with pytest.raises(InvalidParameter):
             make_toy(0.0)
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf])
+    def test_rejects_non_finite_omega(self, omega):
+        with pytest.raises(InvalidParameter, match="omega"):
+            make_toy(omega)
+
+    @pytest.mark.parametrize("omega", [1.0, 1.5, 2.0, 4.0])
+    def test_is_network_zero_of_a_decoupled_network_toy(self, omega):
+        toy = make_toy(omega)
+        net = make_network_toy(2, [math.sqrt(omega), 0.7], [1.0, 3.0],
+                               [1.0, 0.5], {})
+        u, p = slice(0, 3), slice(0, 1)
+        blocks = {"elasticity": (u, u), "norm_u": (u, u), "coupling": (p, u),
+                  "flow_stiffness": (p, p), "storage": (p, p),
+                  "norm_p_grad": (p, p), "norm_p": (p, p)}
+        for name, (rows, cols) in blocks.items():
+            assert np.array_equal(getattr(net, name)[rows, cols],
+                                  getattr(toy, name)), name
+        assert not net.elasticity[u, 3:].any() and not net.coupling[p, 3:].any()
+        assert np.array_equal(net.u0[u], toy.u0)
+        assert np.array_equal(net.p0[p], toy.p0)
+        for t in (0.0, 0.37, 1.0, 2.5):
+            assert np.array_equal(net.load_u(t)[u], toy.load_u(t))
+            assert np.array_equal(net.load_p(t)[p], toy.load_p(t))
+            np.testing.assert_allclose(net.exact_p(t)[p], toy.exact_p(t),
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(net.exact_u(t)[u], toy.exact_u(t),
+                                       rtol=1e-12, atol=1e-12)
+
     def test_exact_solution_satisfies_ode(self):
         toy = make_toy(2.0)
         h = 1e-6
