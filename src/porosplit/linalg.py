@@ -10,6 +10,17 @@ relative-pivot singularity check to both. Dense solves call LAPACK
 ``getrs`` on the ``lu_factor`` output directly: the same routine
 ``scipy.linalg.lu_solve`` ends in, without its per-call Python layers,
 which dominate a solve on the toy's 3x3 blocks.
+
+SuperLU orders for symmetric structure and pivots on the diagonal: a
+minimum-degree ordering of the pattern of A^T + A (``MMD_AT_PLUS_A``),
+``SymmetricMode`` and a diagonal pivot threshold of 0.01. Every sparse
+matrix the stepper factors has a symmetric pattern: A, the split pressure
+block and the monolithic block. SuperLU's default COLAMD ordering ignores
+that, and full partial pivoting lets row exchanges undo a symmetric
+ordering: on the monolithic BDF-3 block at n = 16, tau = 2^-10, the
+ordering alone with partial pivoting fills 218 k entries against COLAMD's
+58 k, and with diagonal pivoting 40 k. See :class:`Factor` for why
+pivoting on the diagonal is stable here.
 """
 
 from __future__ import annotations
@@ -67,10 +78,30 @@ def as_array(op) -> np.ndarray:
 class Factor:
     """Reusable LU factorization of a square matrix; built by :func:`factorize`.
 
-    A sparse matrix solves through SuperLU. A dense one keeps the
-    ``lu_factor`` output and the LAPACK ``getrs`` routine for its dtype,
-    looked up once here, and each solve is one ``getrs`` call: bit for bit
-    what ``scipy.linalg.lu_solve(..., check_finite=False)`` returns.
+    A sparse matrix solves through SuperLU, ordered by minimum degree on
+    the pattern of A^T + A with diagonal pivoting (threshold 0.01). That
+    is safe for the matrices the stepper factors. A and the split pressure
+    block (xi0/tau)(C + L M_H) + B are SPD. The monolithic block
+    [[A, -D^T], [(xi0/tau) D, (xi0/tau) C + B]] with its second block row
+    scaled by tau/xi0 has the symmetric part diag(A, C + (tau/xi0) B),
+    which is SPD; a matrix with an SPD symmetric part keeps one under
+    any symmetric permutation, so all its leading minors are nonzero and
+    LU without row exchanges exists, and a positive row scaling does not
+    change that. The 0.01 threshold keeps a pivoting fallback for a zero
+    or tiny diagonal entry, as in a permutation matrix. Against COLAMD
+    with partial pivoting, at n = 48 (best of several runs, 2 vCPUs):
+    A fills 504 k -> 359 k entries, factors in 30 -> 18 ms and solves in
+    1.1 -> 0.75 ms; the monolithic BDF-1 block at tau = 2^-5 fills
+    1.15 M -> 0.81 M entries, factors in 85 -> 47 ms and solves in
+    3.6 -> 1.7 ms.
+
+    A dense matrix keeps the ``lu_factor`` output and the LAPACK ``getrs``
+    routine for its dtype, looked up once here, and each solve is one
+    ``getrs`` call: bit for bit what ``scipy.linalg.lu_solve(...,
+    check_finite=False)`` returns.
+
+    ``fill`` is the number of entries stored for L and U: SuperLU's count
+    for a sparse matrix, n^2 for a dense one.
     """
 
     def __init__(self, m):
@@ -82,10 +113,13 @@ class Factor:
             raise SingularMatrix("zero matrix")
         if scipy.sparse.issparse(m):
             try:
-                lu = scipy.sparse.linalg.splu(m.tocsc())
+                lu = scipy.sparse.linalg.splu(
+                    m.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.01, options={"SymmetricMode": True})
             except RuntimeError as exc:      # SuperLU: exactly singular
                 raise SingularMatrix(str(exc)) from exc
             pivots = lu.U.diagonal()
+            self._fill = lu.nnz
             self._solve = lu.solve
         else:
             with warnings.catch_warnings():
@@ -93,6 +127,7 @@ class Factor:
                 lu, piv = scipy.linalg.lu_factor(np.asarray(m, dtype=float),
                                                  check_finite=False)
             pivots = np.diag(lu)
+            self._fill = lu.size
             getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
 
             def solve_dense(rhs):
@@ -106,6 +141,11 @@ class Factor:
         if np.any(np.abs(pivots) <= _PIVOT_REL_TOL * row_mag):
             raise SingularMatrix(
                 f"pivot below {_PIVOT_REL_TOL:g} x max row magnitude")
+
+    @property
+    def fill(self) -> int:
+        """Entries stored for the L and U factors."""
+        return self._fill
 
     def solve(self, rhs) -> np.ndarray:
         """Solve for one right-hand side (1-D) or a block of columns (2-D)."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -263,11 +264,13 @@ def make_network_toy(count: int, alphas, storage_moduli, mobilities,
     through ``alphas[i]`` times the toy coupling row [2/3, 1/3, 2/3],
     stores with compliance ``1/storage_moduli[i]`` and flows with
     ``mobilities[i]``. The networks interact only through ``exchange``,
-    mapping pairs (i, j) to the rate beta_ij >= 0 used symmetrically in
-    both network equations; the assembled exchange block has zero row
-    sums, so constant pressures see no exchange and beta = 0 decouples the
-    networks completely. Sources: f the constant one-vector, g_i(t) = 100
-    sin(t); zero initial pressure with consistent initial displacement.
+    a mapping or a sequence of ((i, j), rate) items giving the rate
+    beta_ij >= 0 used symmetrically in both network equations (a pair
+    given twice, in either orientation, is rejected). The assembled
+    exchange block has zero row sums, so constant pressures see no
+    exchange and beta = 0 decouples the networks completely. Sources: f
+    the constant one-vector, g_i(t) = 100 sin(t); zero initial pressure
+    with consistent initial displacement.
     """
     if count < 2:
         raise InvalidParameter("network toy needs at least two networks")
@@ -283,9 +286,15 @@ def make_network_toy(count: int, alphas, storage_moduli, mobilities,
                 f"{name} must be finite and positive, got {values.tolist()}")
 
     rates = np.zeros((count, count))
-    for (i, j), rate in dict(exchange).items():
+    given = set()
+    for (i, j), rate in (exchange.items() if isinstance(exchange, Mapping)
+                         else exchange):
         if i == j or not (0 <= i < count and 0 <= j < count):
             raise InvalidParameter(f"bad exchange pair {(i, j)}")
+        pair = frozenset((i, j))
+        if pair in given:
+            raise InvalidParameter(f"exchange pair {(i, j)} given twice")
+        given.add(pair)
         if not (math.isfinite(rate) and rate >= 0):
             raise InvalidParameter(f"exchange rate of pair {(i, j)} must "
                                    f"be finite and nonnegative, got {rate}")

@@ -423,6 +423,17 @@ class TestBadNumericInput:
         assert "Traceback" not in err
         assert err.strip()
 
+    def test_exchange_pair_given_twice_fails_before_any_run(
+            self, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(splitsolve, "integrate",
+                            lambda *args, **kwargs: runs.append(args))
+        code = main(["network", "--tau", "2^-3", "--beta", "0,1=1e-3",
+                     "--beta", "1,0=5", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "given twice" in capsys.readouterr().err
+        assert runs == []
+
     def test_malformed_config_value_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text("k = abc\n")

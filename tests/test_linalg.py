@@ -1,10 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
+from porosplit import fem2d, splitsolve
+from porosplit.bdf import scheme
 from porosplit.linalg import (DimensionMismatch, SingularMatrix, as_array,
                               factorize, weighted_norm_sq)
 
@@ -170,6 +177,92 @@ class TestSolveSpd:
             x_dense = factorize(a).solve(rhs)
             assert np.abs(x_sparse - x_dense).max() <= 1e-12 * max(
                 1.0, np.abs(x_dense).max())
+
+
+def _stepper_matrices(monkeypatch, n, k, tau):
+    """The sparse matrices a Biot run at grid ``n``, BDF-``k`` and ``tau``
+    factors, as the stepper builds them: A, the split pressure block and
+    the monolithic block."""
+    built = []
+
+    def keep(m):
+        built.append(m)
+        return factorize(m)
+
+    monkeypatch.setattr(splitsolve, "factorize", keep)
+    sch = scheme(k)
+    work = splitsolve.StepperWork(fem2d.manufactured_system(n),
+                                  splitsolve.SplitConfig(tol=1e-8), sch, tau,
+                                  "split")
+    work.elasticity_factor()
+    work.pressure_factor()
+    work.block_factor(sch)
+    assert all(scipy.sparse.issparse(m) for m in built)
+    return dict(zip(("elasticity", "pressure", "monolithic"), built))
+
+
+class TestSparseOrdering:
+    """SuperLU orders on the pattern of A^T + A and pivots on the diagonal
+    (see :class:`porosplit.linalg.Factor`)."""
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("tau", [2.0 ** -3, 2.0 ** -10, 2.0 ** -14],
+                             ids=["tau=2^-3", "tau=2^-10", "tau=2^-14"])
+    def test_biot_blocks_agree_with_dense_lapack(self, monkeypatch, n, k,
+                                                 tau):
+        rng = np.random.default_rng(n * 100 + k)
+        for name, m in _stepper_matrices(monkeypatch, n, k, tau).items():
+            rhs = rng.normal(size=m.shape[0])
+            x_sparse = factorize(m).solve(rhs)
+            x_dense = scipy.linalg.solve(m.toarray(), rhs)
+            rel = np.linalg.norm(x_sparse - x_dense) / np.linalg.norm(x_dense)
+            assert rel <= 1e-12, (name, rel)
+
+    def test_monolithic_fill_at_most_colamd(self, monkeypatch):
+        # n = 16, tau = 2^-10, BDF-3: the fine reference block of the
+        # BDF-3 convergence study, where the minimum-degree ordering with
+        # partial pivoting fills about four times what COLAMD does
+        m = _stepper_matrices(monkeypatch, 16, 3, 2.0 ** -10)["monolithic"]
+        colamd = scipy.sparse.linalg.splu(m.tocsc())
+        assert factorize(m).fill <= colamd.nnz
+
+    def test_fill_is_read_only(self):
+        factor = factorize(scipy.sparse.csr_matrix(_laplacian(4)))
+        assert factor.fill > 0
+        with pytest.raises(AttributeError):
+            factor.fill = 0
+        assert factorize(_laplacian(4)).fill == 16
+
+    def test_permutation_matrix_solves_exactly(self):
+        m = scipy.sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        x = factorize(m).solve(np.array([2.0, -3.0]))
+        np.testing.assert_array_equal(x, [-3.0, 2.0])
+
+    @pytest.mark.parametrize("a", [
+        np.array([[1.0, 0.0], [0.0, 0.0]]),
+        _laplacian(6) - np.diag([1.0, 0, 0, 0, 0, 1.0]),   # Neumann: 1 in kernel
+    ], ids=["zero-row", "neumann-laplacian"])
+    def test_singular_is_singular(self, a):
+        with pytest.raises(SingularMatrix):
+            factorize(scipy.sparse.csr_matrix(a))
+
+
+def test_dense_runs_do_not_load_superlu():
+    # SuperLU's module costs resident memory; the toys factor dense
+    # matrices only and must not import it
+    code = ("import sys\n"
+            "from porosplit.bdf import scheme\n"
+            "from porosplit.splitsolve import SplitConfig, integrate\n"
+            "from porosplit.system import make_toy\n"
+            "integrate(make_toy(2.0), SplitConfig(tol=1e-8), scheme(2), "
+            "0.125, 1.0)\n"
+            "assert 'scipy.sparse.linalg' not in sys.modules\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=root, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestWeightedNorm:

@@ -219,6 +219,22 @@ class TestNetworkToy:
             make_network_toy(2, [0.1, 0.1], [1.0, 1.0], [1.0, 1.0],
                              {(0, 0): 1.0})
 
+    @pytest.mark.parametrize("exchange", [
+        [((0, 1), 1e-3), ((1, 0), 5.0)],
+        [((0, 1), 5.0), ((0, 1), 5.0)],
+        {(0, 1): 1e-3, (1, 0): 5.0},
+    ])
+    def test_rejects_a_pair_given_twice(self, exchange):
+        with pytest.raises(InvalidParameter, match="given twice"):
+            make_network_toy(2, [0.4, 0.2], [1.0, 1.0], [1.0, 1.0], exchange)
+
+    def test_exchange_items_and_mapping_agree(self):
+        args = (3, [0.4, 0.2, 0.4], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+        items = make_network_toy(*args, [((0, 1), 0.3), ((2, 1), 0.7)])
+        mapping = make_network_toy(*args, {(0, 1): 0.3, (2, 1): 0.7})
+        np.testing.assert_array_equal(items.flow_stiffness,
+                                      mapping.flow_stiffness)
+
     @pytest.mark.parametrize("alphas, moduli, mobilities, exchange, name", [
         ([math.nan, 0.2], [1.0, 1.0], [1.0, 1.0], {}, "alphas"),
         ([0.4, 0.2], [math.inf, 1.0], [1.0, 1.0], {}, "storage moduli"),
