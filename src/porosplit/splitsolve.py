@@ -7,25 +7,30 @@ lagged displacement rate and an L-weighted pressure-rate stabilization,
                                      - (1/tau) C S_p + (xi0/tau) L M_H p_{i-1},
 
 and the displacement solve ``A u_i = D^T p_i + f(t_n)``, where S_u, S_p
-collect the BDF history terms. The inner loop terminates when the weighted
-increment functional
+collect the BDF history terms. A sweep carries its iterate as one stacked
+vector z = (u, p). The lagged terms of the pressure right-hand side are
+G z_{i-1}, with the lag operator G = (xi0/tau) [-D, L M_H], and the inner
+loop terminates when the weighted increment functional
 
-    (c_a/2) |du|_V^2 + (c_c + L/2) |dp|_H^2 + (tau/xi0) c_b |dp|_Q^2
+    |dz|_W^2 = (c_a/2) |du|_V^2 + (c_c + L/2) |dp|_H^2 + (tau/xi0) c_b |dp|_Q^2,
+    W = blockdiag((c_a/2) N_u, (c_c + L/2) M_H + (tau/xi0) c_b N_Q),
 
-drops below tol^2. The monolithic reference solves the coupled block
-system in one shot. With L at or above the system's coupling constant
-beta, the default (see :func:`default_stabilization`), successive
-functional values contract at least by ``sqrt(L / (2 c_c + L))`` per
-inner iteration.
+drops below tol^2. A sweep is two solves, three operator products
+(G z, D^T p, W dz) and one quadratic form. The monolithic reference
+solves the coupled block system in one shot. With L at or above the
+system's coupling constant beta, the default (see
+:func:`default_stabilization`), successive functional values contract at
+least by ``sqrt(L / (2 c_c + L))`` per inner iteration.
 
-One :class:`StepperWork` per :func:`integrate` call decides L, the
-functional's weights and the predicted contraction once, and factors
-each block on its first solve, so a run factors only what its steps use.
+One :class:`StepperWork` per :func:`integrate` call decides L, G, W and
+the predicted contraction once, and factors each block on its first
+solve, so a run factors only what its steps use.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import statistics
 from dataclasses import dataclass
 from typing import Optional
@@ -88,6 +93,10 @@ class SplitConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if (isinstance(self.max_inner, bool)
+                or not isinstance(self.max_inner, numbers.Integral)):
+            raise ValueError("max_inner must be an integer, got "
+                             f"{self.max_inner!r}")
         if self.max_inner < 1:
             raise ValueError("max_inner must be >= 1")
         if self.stabilization is not None and not (
@@ -192,24 +201,50 @@ def predict_iterations(tol: float, eps1: float, gamma: float) -> int:
     return max(1, math.ceil((math.log(tol) - math.log(eps1)) / math.log(gamma)) + 1)
 
 
-class StepperWork:
-    """The decisions and factorizations of one :func:`integrate` call.
+def _block_matrix(blocks, fmt: str):
+    """The matrix of a grid of blocks, None standing for a zero block:
+    ``scipy.sparse.bmat`` in format ``fmt`` when the blocks are sparse,
+    else ``np.block`` with explicit zeros."""
+    if any(scipy.sparse.issparse(b) for row in blocks for b in row):
+        return scipy.sparse.bmat(blocks, format=fmt)
+    heights = [next(b.shape[0] for b in row if b is not None)
+               for row in blocks]
+    widths = [next(row[j].shape[1] for row in blocks if row[j] is not None)
+              for j in range(len(blocks[0]))]
+    return np.block([[np.zeros((h, w)) if b is None else b
+                      for b, w in zip(row, widths)]
+                     for row, h in zip(blocks, heights)])
 
-    A split run resolves three values at construction. ``stabilization``
-    is L: ``cfg.stabilization``; or for ``cfg.gamma_target`` the exact L
-    on a scalar pressure, else the inverse of gamma^2 = (L/2)/(c_c + L/2);
-    or :func:`default_stabilization`, beta. An inverted L carries the
+
+class StepperWork:
+    """The decisions, sweep operators and factorizations of one
+    :func:`integrate` call.
+
+    A split run resolves L at construction as ``stabilization``:
+    ``cfg.stabilization``; or for ``cfg.gamma_target`` the exact L on a
+    scalar pressure, else the inverse of gamma^2 = (L/2)/(c_c + L/2); or
+    :func:`default_stabilization`, beta. An inverted L carries the
     guarantee only when it is >= beta: on Biot, gamma = 0.15 gives
     L = 0.184 < beta = 0.9 (ratios after the first stay below 0.125 in
-    runs at n <= 32). ``weights`` are the termination weights (c_a/2, c_c + L/2,
-    (tau/xi0) c_b). ``gamma`` is the factor J_n is predicted from: the
-    target, else sqrt(L/(2 c_c + L)), and None for L = 0. An implicit run
-    leaves all three None and reads no constant. ``coupling_t`` is
-    D^T, transposed once here: for a sparse D each ``.T`` builds a new
-    matrix object, and the sweeps would build one per displacement solve.
-    Each factor is built on first use and kept: A (split sweeps, the exact
-    L for a gamma target), the split pressure block, and one monolithic
-    block per BDF scheme stepped.
+    runs at n <= 32). ``gamma`` is the factor J_n is predicted from: the
+    target, else sqrt(L/(2 c_c + L)), and None for L = 0.
+
+    It then builds the two operators a sweep applies to the stacked
+    iterate z = (u, p). ``lag`` is G = (xi0/tau) [-D, L M_H], which maps
+    the previous iterate to the lagged part of the pressure right-hand
+    side. ``weight`` is W = blockdiag((c_a/2) N_u, (c_c + L/2) M_H +
+    (tau/xi0) c_b N_Q), the termination weight. Both are built once per
+    split run, CSR for a sparse system and dense for a dense one. G stores
+    the nonzeros of D and M_H, W those of N_u and M_H + N_Q, which share
+    the pressure pattern: 45 k entries each, about 1.1 MB together, on
+    P1 Biot at n = 48. An implicit run leaves L, G, W and gamma None and
+    reads no constant.
+
+    ``coupling_t`` is D^T, transposed once here: for a sparse D each
+    ``.T`` builds a new matrix object, and the sweeps would build one per
+    displacement solve. Each factor is built on first use and kept: A
+    (split sweeps, the exact L for a gamma target), the split pressure
+    block, and one monolithic block per BDF scheme stepped.
     """
 
     def __init__(self, sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
@@ -221,7 +256,7 @@ class StepperWork:
         self.scheme = sch
         self.tau = tau
         self.coupling_t = sys.coupling.T
-        self.stabilization = self.weights = self.gamma = None
+        self.stabilization = self.lag = self.weight = self.gamma = None
         self._factors: dict = {}
         if mode == "implicit":
             return
@@ -248,9 +283,13 @@ class StepperWork:
             g2 = cfg.gamma_target ** 2
             ell = 2.0 * sys.storage_coercivity * g2 / (1.0 - g2)
         self.stabilization = ell
-        self.weights = (0.5 * sys.elastic_coercivity,
-                        sys.storage_coercivity + 0.5 * ell,
-                        tau / xi0 * sys.flow_coercivity)
+        xi_tau = xi0 / tau
+        self.lag = _block_matrix(
+            [[-xi_tau * sys.coupling, xi_tau * ell * sys.norm_p]], "csr")
+        self.weight = _block_matrix(
+            [[0.5 * sys.elastic_coercivity * sys.norm_u, None],
+             [None, (sys.storage_coercivity + 0.5 * ell) * sys.norm_p
+              + tau / xi0 * sys.flow_coercivity * sys.norm_p_grad]], "csr")
         if cfg.gamma_target is not None:
             self.gamma = cfg.gamma_target
         elif ell > 0.0:
@@ -278,27 +317,24 @@ class StepperWork:
 
     def block_factor(self, sch: BdfScheme) -> linalg.Factor:
         """Factor of the monolithic BDF block of ``sch``."""
-        def build():
-            sys = self.sys
-            xi_tau = sch.leading / self.tau
-            d = sys.coupling
-            blocks = [[sys.elasticity, -self.coupling_t],
-                      [xi_tau * d, xi_tau * sys.storage + sys.flow_stiffness]]
-            if scipy.sparse.issparse(sys.elasticity):
-                return scipy.sparse.bmat(blocks, format="csc")
-            return np.block(blocks)
-        return self._factor(sch, build)
+        sys = self.sys
+        xi_tau = sch.leading / self.tau
+        return self._factor(sch, lambda: _block_matrix(
+            [[sys.elasticity, -self.coupling_t],
+             [xi_tau * sys.coupling, xi_tau * sys.storage + sys.flow_stiffness]],
+            "csc"))
 
 
-def termination_functional(work: StepperWork, du: np.ndarray,
-                           dp: np.ndarray) -> float:
-    """Weighted squared increment compared against tol^2 for termination,
-    with the weights the split run's ``work`` resolved."""
-    sys = work.sys
-    w_u, w_p, w_q = work.weights
-    return (w_u * weighted_norm_sq(sys.norm_u, du)
-            + w_p * weighted_norm_sq(sys.norm_p, dp)
-            + w_q * weighted_norm_sq(sys.norm_p_grad, dp))
+def termination_functional(work: StepperWork, dz: np.ndarray) -> float:
+    """The weighted squared increment |dz|_W^2 of a sweep, compared against
+    tol^2 for termination.
+
+    ``dz`` is the stacked increment (du, dp) and W is ``work.weight``, so
+    the value is (c_a/2) |du|_V^2 + (c_c + L/2) |dp|_H^2 +
+    (tau/xi0) c_b |dp|_Q^2 with the L the split run's ``work`` resolved,
+    computed as one quadratic form.
+    """
+    return weighted_norm_sq(work.weight, dz)
 
 
 def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
@@ -311,17 +347,15 @@ def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
     does not pass tol^2 within ``cfg.max_inner`` iterations.
     """
     sys, cfg, sch, tau = work.sys, work.cfg, work.scheme, work.tau
-    d_t = work.coupling_t
-    ell = work.stabilization
-    xi0 = sch.leading
+    d_t, lag = work.coupling_t, work.lag
     p_factor, a_factor = work.pressure_factor(), work.elasticity_factor()
     su, sp = history_sum(sch, hist_u), history_sum(sch, hist_p)
+    dim_u = sys.dim_u
     scalar_p = sys.dim_p == 1
 
     rhs_fixed = sys.load_p(t) - (sys.coupling @ su + sys.storage @ sp) / tau
     f_now = sys.load_u(t)
-    u_prev = hist_u.newest()
-    p_prev = hist_p.newest()
+    z_prev = np.concatenate((hist_u.newest(), hist_p.newest()))
 
     eps_values: list[float] = []
     ratios: list[float] = []
@@ -330,16 +364,14 @@ def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
     tol_sq = cfg.tol ** 2
 
     for i in range(1, cfg.max_inner + 1):
-        rhs_p = (rhs_fixed - (xi0 / tau) * (sys.coupling @ u_prev)
-                 + (xi0 / tau) * ell * (sys.norm_p @ p_prev))
         try:
-            p_new = p_factor.solve(rhs_p)
+            p_new = p_factor.solve(rhs_fixed + lag @ z_prev)
             u_new = a_factor.solve(d_t @ p_new + f_now)
         except linalg.LinalgError as exc:
             raise SolverFailure(f"inner solve failed: {exc}") from exc
-        du = u_new - u_prev
-        dp = p_new - p_prev
-        value = termination_functional(work, du, dp)
+        z_new = np.concatenate((u_new, p_new))
+        dz = z_new - z_prev
+        value = termination_functional(work, dz)
         if not math.isfinite(value):
             raise SolverFailure(
                 f"termination functional is {value} at t={t:g}, inner "
@@ -348,12 +380,13 @@ def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
         if eps_values:
             prev = eps_values[-1]
             ratios.append(eps / prev if prev > 0.0 else 0.0)
-        if scalar_p and dp_prev is not None:
-            p_ratios.append(float(dp[0] / dp_prev[0]) if dp_prev[0] != 0.0
-                            else 0.0)
+        if scalar_p:
+            dp = float(dz[dim_u])
+            if dp_prev is not None:
+                p_ratios.append(dp / dp_prev if dp_prev != 0.0 else 0.0)
+            dp_prev = dp
         eps_values.append(eps)
-        dp_prev = dp
-        u_prev, p_prev = u_new, p_new
+        z_prev = z_new
         if value <= tol_sq:
             predicted = None if work.gamma is None else predict_iterations(
                 cfg.tol, max(eps_values[0], 1e-300), work.gamma)
@@ -363,6 +396,7 @@ def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
                 pressure_ratios=p_ratios,
             )
             return u_new, p_new, report
+    ell = work.stabilization
     beta = sys.coupling_constant
     claim = ("guarantees a contraction by "
              f"{contraction_factor(ell, sys.storage_coercivity):.4g} per "

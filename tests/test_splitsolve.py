@@ -8,13 +8,14 @@ import pytest
 
 from porosplit import fem2d, splitsolve as ss
 from porosplit.bdf import History, scheme
-from porosplit.linalg import DimensionMismatch
+from porosplit.linalg import DimensionMismatch, weighted_norm_sq
 from porosplit.splitsolve import (MaxInnerExceeded, SolverFailure,
                                   SplitConfig, StepperWork,
                                   contraction_factor, default_stabilization,
                                   integrate, predict_iterations, step_implicit,
                                   step_split, termination_functional)
 from porosplit.system import CoupledSystem, make_network_toy, make_toy
+from verification import reference_step_split, termination_weights
 
 
 def split_step(sys, cfg, sch, tau, hu, hp, t):
@@ -116,7 +117,8 @@ class TestTermination:
     def test_zero_increment(self, toy):
         cfg = SplitConfig(tol=1e-6, stabilization=2.0)
         work = StepperWork(toy, cfg, scheme(1), 0.1, "split")
-        val = termination_functional(work, np.zeros(3), np.zeros(1))
+        val = termination_functional(work, np.concatenate([np.zeros(3),
+                                                     np.zeros(1)]))
         assert val == 0.0
 
     def test_hand_value(self):
@@ -124,8 +126,8 @@ class TestTermination:
         sys = dataclasses.replace(make_toy(1.0), elastic_coercivity=2.0)
         cfg = SplitConfig(tol=1.0, stabilization=2.0)
         work = StepperWork(sys, cfg, scheme(1), 1.0, "split")
-        val = termination_functional(work, np.array([1.0, 0.0, 0.0]),
-                                     np.array([1.0]))
+        val = termination_functional(
+            work, np.concatenate([np.array([1.0, 0.0, 0.0]), np.array([1.0])]))
         # (2/2)*1 + (1 + 2/2)*1 + (1/1)*1*1 = 4
         assert val == pytest.approx(4.0, rel=1e-15)
 
@@ -134,8 +136,9 @@ class TestTermination:
         rng = np.random.default_rng(0)
         du, dp = rng.normal(size=3), rng.normal(size=1)
         work = StepperWork(toy, cfg, scheme(2), 0.2, "split")  # xi0 = 1.5
-        v1 = termination_functional(work, du, dp)
-        v2 = termination_functional(work, 2 * du, 2 * dp)
+        v1 = termination_functional(work, np.concatenate([du, dp]))
+        v2 = termination_functional(work,
+                                    np.concatenate([2 * du, 2 * dp]))
         assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
 
 
@@ -220,6 +223,21 @@ class TestStepSplit:
     def test_config_rejects_non_finite_values(self, kwargs):
         with pytest.raises(ValueError):
             SplitConfig(**kwargs)
+
+    @pytest.mark.parametrize("max_inner", [2.5, 3.0, True, False,
+                                           np.bool_(True), "3"])
+    def test_config_rejects_a_max_inner_that_is_no_integer(self, max_inner):
+        # 2.5 used to fail inside the first step, after the factorizations,
+        # and True used to run with a cap of one sweep
+        with pytest.raises(ValueError, match="max_inner must be an integer"):
+            SplitConfig(tol=1e-6, max_inner=max_inner)
+
+    def test_config_accepts_a_numpy_integer_max_inner(self, toy):
+        cfg = SplitConfig(tol=1e-12, stabilization=500.0,
+                          max_inner=np.int64(3))
+        hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
+        with pytest.raises(MaxInnerExceeded, match="within 3 inner"):
+            split_step(toy, cfg, scheme(1), 0.125, hu, hp, 0.125)
 
 
 class TestStepImplicit:
@@ -559,6 +577,94 @@ class TestContractionGuarantee:
             traj = integrate(toy, cfg, scheme(1), 0.0625, 1.0, mode="split")
             for rep in traj.reports:
                 assert rep.predicted >= rep.inner_iterations
+
+
+STACKED_SYSTEMS = {name: GUARANTEE_SYSTEMS[name]
+                   for name in ("toy2", "toy4", "network", "biot4", "biot8")}
+
+
+class TestStackedSweep:
+    @pytest.mark.parametrize("gamma", [None, 0.4])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("name", STACKED_SYSTEMS)
+    def test_matches_the_field_by_field_sweep(self, monkeypatch, name, k,
+                                              gamma):
+        # G z and |dz|_W^2 regroup the products and forms of the field-by-
+        # field sweep, which moves round-off only. The terminal increment
+        # is a difference of iterates of the state's size, so its eps is
+        # compared against the state's W-norm: its own relative round-off
+        # is about 1e-16 |z| / |dz| (up to 1e-9 on these grids), and on
+        # the toy at L = beta the second sweep is exact up to round-off.
+        sys = STACKED_SYSTEMS[name]()
+        tau = 0.125
+        cfg = SplitConfig(tol=tau ** (k + 1.5), gamma_target=gamma)
+        stacked = integrate(sys, cfg, scheme(k), tau, 1.0)
+        monkeypatch.setattr(ss, "step_split", reference_step_split)
+        fields = integrate(sys, cfg, scheme(k), tau, 1.0)
+        assert ([r.inner_iterations for r in stacked.reports]
+                == [r.inner_iterations for r in fields.reports])
+        for a, b in zip(stacked.us + stacked.ps, fields.us + fields.ps,
+                        strict=True):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        weight = StepperWork(sys, cfg, scheme(k), tau, "split").weight
+        for a, b in zip(stacked.reports, fields.reports, strict=True):
+            z = np.concatenate([fields.us[b.index], fields.ps[b.index]])
+            scale = math.sqrt(weighted_norm_sq(weight, z))
+            assert abs(math.sqrt(a.terminal_value)
+                       - math.sqrt(b.terminal_value)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name", ["toy2", "biot4"])
+    def test_a_sweep_makes_one_form_and_two_solves(self, monkeypatch, name):
+        sys = STACKED_SYSTEMS[name]()
+        forms, solves = [], []
+        norm, factorize = ss.weighted_norm_sq, ss.factorize
+
+        def counting_norm(m, x):
+            forms.append(m.shape)
+            return norm(m, x)
+
+        class CountingFactor:
+            def __init__(self, m):
+                self.inner = factorize(m)
+
+            def solve(self, rhs):
+                solves.append(rhs.shape)
+                return self.inner.solve(rhs)
+
+        monkeypatch.setattr(ss, "weighted_norm_sq", counting_norm)
+        monkeypatch.setattr(ss, "factorize", CountingFactor)
+        cfg = SplitConfig(tol=1e-10, stabilization=4.0)
+        hu, hp = History(1, [sys.u0]), History(1, [sys.p0])
+        _, _, rep = split_step(sys, cfg, scheme(1), 0.125, hu, hp, 0.125)
+        dim = sys.dim_u + sys.dim_p
+        assert rep.inner_iterations > 1
+        assert forms == [(dim, dim)] * rep.inner_iterations
+        assert solves == ([(sys.dim_p,), (sys.dim_u,)]
+                          * rep.inner_iterations)
+
+    @pytest.mark.parametrize("name", ["toy2", "biot4"])
+    def test_operators_match_the_three_term_formulas(self, name):
+        sys = STACKED_SYSTEMS[name]()
+        rng = np.random.default_rng(1)
+        tau = 0.125
+        for k, gamma in ((1, None), (3, 0.4)):
+            cfg = SplitConfig(tol=1.0, gamma_target=gamma)
+            work = StepperWork(sys, cfg, scheme(k), tau, "split")
+            xi_tau, ell = scheme(k).leading / tau, work.stabilization
+            w_u, w_p, w_q = termination_weights(work)
+            for _ in range(5):
+                u, p = rng.normal(size=sys.dim_u), rng.normal(size=sys.dim_p)
+                lag_u = -xi_tau * (sys.coupling @ u)
+                lag_p = xi_tau * ell * (sys.norm_p @ p)
+                scale = np.abs(lag_u).max() + np.abs(lag_p).max()
+                lagged = work.lag @ np.concatenate([u, p])
+                assert np.abs(lagged - (lag_u + lag_p)).max() <= 1e-13 * scale
+                du, dp = rng.normal(size=sys.dim_u), rng.normal(size=sys.dim_p)
+                form = (w_u * weighted_norm_sq(sys.norm_u, du)
+                        + w_p * weighted_norm_sq(sys.norm_p, dp)
+                        + w_q * weighted_norm_sq(sys.norm_p_grad, dp))
+                value = termination_functional(work, np.concatenate([du, dp]))
+                assert value == pytest.approx(form, rel=1e-13)
 
 
 class TestSplittingErrorControl:

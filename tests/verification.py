@@ -6,17 +6,22 @@ the BDF difference quotient and its defect, the sharp discrete constants
 of a system and the coupling strength they give, a finite-difference check
 that the manufactured Biot sources match their prescribed fields, and
 a plain evaluation of the stability boundary criterion that samples the
-circle on every call. Nothing in ``porosplit`` needs them.
+circle on every call, and a split step that sweeps field by field. Nothing
+in ``porosplit`` needs them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg
 
 from porosplit.bdf import BdfScheme, History, coefficients, history_sum
 from porosplit.fem2d import ManufacturedSolution
-from porosplit.linalg import DimensionMismatch, as_array, as_vector
+from porosplit.linalg import (DimensionMismatch, as_array, as_vector,
+                              weighted_norm_sq)
+from porosplit.splitsolve import StepperWork, StepReport
 from porosplit.system import CoupledSystem
 
 
@@ -201,3 +206,53 @@ def pde_residual_fd(ms: ManufacturedSolution, t: float, x: float, y: float,
     res_p = abs(alpha * div_u_dot + prm.inv_m * dp_dt
                 - prm.kappa_over_nu * lap_p - ms.g(t, x, y))
     return float(max(res_u, res_p))
+
+
+# ---------------------------------------------------------------------------
+# Field-by-field split step
+
+def termination_weights(work: StepperWork) -> tuple[float, float, float]:
+    """The three termination weights (c_a/2, c_c + L/2, (tau/xi0) c_b) of
+    a split run."""
+    sys = work.sys
+    return (0.5 * sys.elastic_coercivity,
+            sys.storage_coercivity + 0.5 * work.stabilization,
+            work.tau / work.scheme.leading * sys.flow_coercivity)
+
+
+def reference_step_split(work: StepperWork, hist_u: History, hist_p: History,
+                         t: float) -> tuple[np.ndarray, np.ndarray, StepReport]:
+    """``splitsolve.step_split`` swept field by field: the lagged terms as
+    two products, -(xi0/tau) D u + (xi0/tau) L M_H p, and the termination
+    functional as three quadratic forms. The same solves, update order and
+    stopping rule; the reports carry no prediction and the step raises
+    ``RuntimeError`` at the iteration cap.
+    """
+    sys, cfg, sch, tau = work.sys, work.cfg, work.scheme, work.tau
+    xi0, ell = sch.leading, work.stabilization
+    w_u, w_p, w_q = termination_weights(work)
+    p_factor, a_factor = work.pressure_factor(), work.elasticity_factor()
+    su, sp = history_sum(sch, hist_u), history_sum(sch, hist_p)
+    rhs_fixed = sys.load_p(t) - (sys.coupling @ su + sys.storage @ sp) / tau
+    f_now = sys.load_u(t)
+    u_prev, p_prev = hist_u.newest(), hist_p.newest()
+    eps_values: list[float] = []
+    for i in range(1, cfg.max_inner + 1):
+        rhs_p = (rhs_fixed - (xi0 / tau) * (sys.coupling @ u_prev)
+                 + (xi0 / tau) * ell * (sys.norm_p @ p_prev))
+        p_new = p_factor.solve(rhs_p)
+        u_new = a_factor.solve(sys.coupling.T @ p_new + f_now)
+        du, dp = u_new - u_prev, p_new - p_prev
+        value = (w_u * weighted_norm_sq(sys.norm_u, du)
+                 + w_p * weighted_norm_sq(sys.norm_p, dp)
+                 + w_q * weighted_norm_sq(sys.norm_p_grad, dp))
+        eps_values.append(math.sqrt(value))
+        u_prev, p_prev = u_new, p_new
+        if value <= cfg.tol ** 2:
+            ratios = [b / a if a > 0.0 else 0.0
+                      for a, b in zip(eps_values, eps_values[1:])]
+            return u_new, p_new, StepReport(
+                index=-1, time=t, inner_iterations=i, terminal_value=value,
+                eps_values=eps_values, ratios=ratios, predicted=None)
+    raise RuntimeError(f"no termination within {cfg.max_inner} inner "
+                       f"iterations at t={t:g}")
