@@ -15,11 +15,18 @@ resolves as
 
 each source overriding the ones before it.
 
+Each subcommand has one runner. A runner returns ``(tables, lines)``:
+``tables`` maps CSV file names to ``studies.StudyReport`` tables, and
+``lines`` is its summary for stdout. A runner writes no file and prints
+nothing; "write, then print" lives in :func:`main` alone. It writes every
+table atomically (temp file + rename) into the output directory resolved
+from --out, the POROSPLIT_OUT environment variable, or ./porosplit-out,
+then prints the summary and one ``wrote <path>`` line per file.
+``--dry-run`` takes the same path, with no tables and the resolved
+options as its summary.
+
 Exit codes: 0 success, 2 usage errors, 3 configuration validation errors,
 4 numerical/solver failures, 5 I/O failures; a closed stdout is not one.
-Outputs are written atomically (temp file + rename) into the output
-directory resolved from --out, the POROSPLIT_OUT environment variable, or
-./porosplit-out, before anything is printed.
 """
 
 from __future__ import annotations
@@ -169,10 +176,8 @@ OPTIONS = (
            ("convergence",), "what errors are measured against"),
     Option("n", "grid_n", _parse_int, ("biot2d", "convergence", "balance"),
            "grid cells per side", problems=("biot2d",)),
-    Option("networks", "networks", _parse_int, ("network",),
-           "number of pressure networks"),
     Option("alphas", "alphas", _parse_floats, ("network",),
-           "coupling coefficients alpha_i"),
+           "coupling coefficients alpha_i, one per network"),
     Option("moduli", "moduli", _parse_floats, ("network",),
            "storage moduli M_i"),
     Option("mobilities", "mobilities", _parse_floats, ("network",),
@@ -204,7 +209,6 @@ class RunConfig:
     gammas: list[float] = field(default_factory=lambda: [0.5, 0.1])
     orders: list[int] = field(default_factory=lambda: [1, 2])
     grid_n: int = 16
-    networks: int = 2
     alphas: list[float] = field(default_factory=lambda: [0.4, 0.2])
     moduli: list[float] = field(default_factory=lambda: [1.0, 1.0])
     mobilities: list[float] = field(default_factory=lambda: [1.0, 1.0])
@@ -233,6 +237,8 @@ class RunConfig:
             raise ValidationError(f"gammas must lie in (0, 1), got {self.gammas}")
         if self.grid_n < 2:
             raise ValidationError(f"n must be >= 2, got {self.grid_n}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.order <= 5:
             raise ValidationError(f"k must be in 1..5, got {self.order}")
         for k in self.orders:
@@ -370,15 +376,16 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _steps_csv(traj: splitsolve.Trajectory) -> str:
-    lines = ["n,t,J_n,predicted_J_n,terminal_functional,contraction_ratio_median"]
-    for r in traj.reports:
-        lines.append(",".join([
-            str(r.index), repr(r.time), str(r.inner_iterations),
-            "" if r.predicted is None else str(r.predicted),
-            repr(r.terminal_value), repr(r.ratio_median),
-        ]))
-    return "\n".join(lines) + "\n"
+# What a runner returns: CSV tables by file name, and its summary lines.
+_Output = tuple[dict[str, studies.StudyReport], list[str]]
+
+
+def _steps_table(traj: splitsolve.Trajectory) -> studies.StudyReport:
+    return studies.StudyReport(
+        columns=("n", "t", "J_n", "predicted_J_n", "terminal_functional",
+                 "contraction_ratio_median"),
+        rows=[(r.index, r.time, r.inner_iterations, r.predicted,
+               r.terminal_value, r.ratio_median) for r in traj.reports])
 
 
 def _build_single_system(cfg: RunConfig):
@@ -388,123 +395,95 @@ def _build_single_system(cfg: RunConfig):
         return system.make_toy(cfg.omega)
     if problem == "biot2d":
         return fem2d.manufactured_system(cfg.grid_n)
-    if problem == "network":
-        return system.make_network_toy(
-            cfg.networks, cfg.alphas, cfg.moduli, cfg.mobilities,
-            cfg.exchange)
-    raise ValidationError(f"unknown problem kind {problem!r}")
+    return system.make_network_toy(len(cfg.alphas), cfg.alphas, cfg.moduli,
+                                   cfg.mobilities, cfg.exchange)
+
+
+def _tol_exponent(cfg: RunConfig) -> float:
+    """--s, else the balanced exponent k + 3/2."""
+    return cfg.order + 1.5 if cfg.tol_exponent is None else cfg.tol_exponent
 
 
 def _split_config(cfg: RunConfig, tau: float) -> splitsolve.SplitConfig:
-    if cfg.tol is not None:
-        tol = cfg.tol
-    elif cfg.tol_exponent is not None:
-        tol = tau ** cfg.tol_exponent
-    else:
-        tol = tau ** (cfg.order + 1.5)
+    tol = cfg.tol if cfg.tol is not None else tau ** _tol_exponent(cfg)
     return splitsolve.SplitConfig(
         tol=tol, gamma_target=cfg.gamma, stabilization=cfg.stabilization)
 
 
-def _run_single(cfg: RunConfig) -> int:
-    sys_obj = _build_single_system(cfg)
+def _run_single(cfg: RunConfig) -> _Output:
     if cfg.tau is None:
         raise ValidationError("--tau is required for single runs")
-    sch = make_scheme(cfg.order)
-    traj = splitsolve.integrate(sys_obj, _split_config(cfg, cfg.tau), sch,
-                                cfg.tau, cfg.t_end, mode="split")
-    out = cfg.resolved_out()
-    _write_atomic(out / f"{cfg.subcommand}_steps_{cfg.order}.csv",
-                  _steps_csv(traj))
-    print(f"{sys_obj.label}: {len(traj.reports)} split steps, "
-          f"mean inner iterations {traj.mean_inner():.2f}")
+    sys_obj = _build_single_system(cfg)
+    traj = splitsolve.integrate(sys_obj, _split_config(cfg, cfg.tau),
+                                make_scheme(cfg.order), cfg.tau, cfg.t_end,
+                                mode="split")
+    lines = [f"{sys_obj.label}: {len(traj.reports)} split steps, "
+             f"mean inner iterations {traj.mean_inner():.2f}"]
     if sys_obj.exact_p is not None:
         diff = traj.ps[-1] - sys_obj.exact_p(traj.times[-1])
         err = math.sqrt(linalg.weighted_norm_sq(sys_obj.norm_p, diff))
-        print(f"final-time pressure error against exact, "
-              f"L2 (norm_p) norm: {err:.3e}")
-    print(f"wrote {out / f'{cfg.subcommand}_steps_{cfg.order}.csv'}")
-    return EXIT_OK
+        lines.append(f"final-time pressure error against exact, "
+                     f"L2 (norm_p) norm: {err:.3e}")
+    name = f"{cfg.subcommand}_steps_{cfg.order}.csv"
+    return {name: _steps_table(traj)}, lines
 
 
-def _run_convergence(cfg: RunConfig) -> int:
-    sys_obj = _build_single_system(cfg)
-    exponent = cfg.tol_exponent if cfg.tol_exponent is not None \
-        else cfg.order + 1.5
+def _run_convergence(cfg: RunConfig) -> _Output:
     result = studies.convergence_study(
-        sys_obj, cfg.order, cfg.taus, tol_exponent=exponent,
-        reference=cfg.reference, t_end=cfg.t_end)
-    out = cfg.resolved_out()
-    path = out / f"convergence_{cfg.order}.csv"
-    _write_atomic(path, result.report.to_csv())
+        _build_single_system(cfg), cfg.order, cfg.taus,
+        tol_exponent=_tol_exponent(cfg), reference=cfg.reference,
+        t_end=cfg.t_end)
     orders = ", ".join(f"{o:.2f}" for o in result.eoc.pairwise_orders)
-    print(f"k={cfg.order}: fitted order {result.eoc.fitted_order:.3f} "
-          f"(pairwise {orders})")
-    print(f"wrote {path}")
-    return EXIT_OK
+    return {f"convergence_{cfg.order}.csv": result.report}, [
+        f"k={cfg.order}: fitted order {result.eoc.fitted_order:.3f} "
+        f"(pairwise {orders})"]
 
 
-def _run_balance(cfg: RunConfig) -> int:
-    sys_obj = fem2d.manufactured_system(cfg.grid_n)
+def _run_balance(cfg: RunConfig) -> _Output:
     k = cfg.order
-    exponents = [k, k + 0.5, k + 1.0, k + 1.5, k + 2.0]
-    result = studies.balancing_study(sys_obj, k, cfg.taus, exponents,
-                                     t_end=cfg.t_end)
-    out = cfg.resolved_out()
-    path = out / f"balancing_{k}.csv"
-    _write_atomic(path, result.report.to_csv())
-    path_avg = out / f"iteration_averages_{k}.csv"
-    _write_atomic(path_avg, result.iteration_averages.to_csv())
+    result = studies.balancing_study(
+        fem2d.manufactured_system(cfg.grid_n), k, cfg.taus,
+        [k, k + 0.5, k + 1.0, k + 1.5, k + 2.0], t_end=cfg.t_end)
     flags = ", ".join(f"tau={tau:g}:{'ok' if ok else 'OFF'}"
                       for tau, ok in sorted(result.balanced_ok.items(),
                                             reverse=True))
-    print(f"k={k} balanced-tolerance runs vs implicit baseline: {flags}")
-    print(f"wrote {path} and {path_avg}")
-    return EXIT_OK
+    return {f"balancing_{k}.csv": result.report,
+            f"iteration_averages_{k}.csv": result.iteration_averages}, [
+        f"k={k} balanced-tolerance runs vs implicit baseline: {flags}"]
 
 
-def _run_iters(cfg: RunConfig) -> int:
-    out = cfg.resolved_out()
+def _run_iters(cfg: RunConfig) -> _Output:
     results = {k: studies.iteration_study(k, cfg.omegas, cfg.gammas, cfg.taus,
                                           t_end=cfg.t_end)
                for k in cfg.orders}
-    paths = {k: out / f"iterations_{k}.csv" for k in cfg.orders}
+    lines = []
     for k, result in results.items():
-        _write_atomic(paths[k], result.report.to_csv())
-    for k, result in results.items():
-        print(f"k={k}:")
+        lines.append(f"k={k}:")
         for omega in cfg.omegas:
             for gamma in cfg.gammas:
                 row = [result.cells[(omega, gamma, tau)]["rounded"]
                        for tau in cfg.taus]
-                print(f"  omega={omega:g} gamma={gamma:g}: {row}")
-        print(f"wrote {paths[k]}")
-    return EXIT_OK
+                lines.append(f"  omega={omega:g} gamma={gamma:g}: {row}")
+    return {f"iterations_{k}.csv": result.report
+            for k, result in results.items()}, lines
 
 
-def _run_stability(cfg: RunConfig) -> int:
-    out = cfg.resolved_out()
-    lines = ["k,eta,min_real_part,identity_residual"]
-    rows = [f"{'k':>2} {'eta':>8} {'min Re':>12} {'identity residual':>18}"]
+def _run_stability(cfg: RunConfig) -> _Output:
+    rows = []
     for k in range(1, 6):
         cert = stability.certificate(k)
-        resid = ""
-        if k <= 2:
-            resid = stability.verify_identity(stability.g_stability_data(k),
-                                              trials=200, dim=8,
-                                              seed=cfg.seed)
-            resid_txt = f"{resid:.3e}"
-        else:
-            resid_txt = "-"
-        rows.append(f"{k:>2} {cert.multiplier:>8.4f} "
-                    f"{cert.min_real_part:>12.3e} {resid_txt:>18}")
-        lines.append(f"{k},{cert.multiplier!r},{cert.min_real_part!r},"
-                     f"{resid!r}" if k <= 2 else
-                     f"{k},{cert.multiplier!r},{cert.min_real_part!r},")
-    _write_atomic(out / "stability.csv", "\n".join(lines) + "\n")
-    print("\n".join(rows))
-    print(f"wrote {out / 'stability.csv'}")
-    return EXIT_OK
+        # the identity is checked where G-matrix data exist, k <= 2
+        resid = (stability.verify_identity(stability.g_stability_data(k),
+                                           trials=200, dim=8, seed=cfg.seed)
+                 if k <= 2 else None)
+        rows.append((k, cert.multiplier, cert.min_real_part, resid))
+    lines = [f"{'k':>2} {'eta':>8} {'min Re':>12} {'identity residual':>18}"]
+    lines.extend(f"{k:>2} {eta:>8.4f} {min_re:>12.3e} "
+                 f"{'-' if resid is None else f'{resid:.3e}':>18}"
+                 for k, eta, min_re, resid in rows)
+    table = studies.StudyReport(
+        columns=("k", "eta", "min_real_part", "identity_residual"), rows=rows)
+    return {"stability.csv": table}, lines
 
 
 _DISPATCH = {
@@ -519,9 +498,13 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    """Run one invocation and return its exit code. A reader that closes
-    stdout early finds the files written and gets exit code 0; stdout is
-    then pointed at devnull, so the flush at exit does not fail again."""
+    """Run one invocation and return its exit code.
+
+    The one place a run's output leaves the process: every table the
+    runner returns is written, then its summary and the ``wrote`` lines
+    are printed. A reader that closes stdout early therefore finds the
+    files written and gets exit code 0; stdout is then pointed at
+    devnull, so the flush at exit does not fail again."""
     try:
         cfg = parse_config(argv)
     except UsageError as exc:
@@ -531,13 +514,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
     try:
-        if cfg.dry_run:
-            print(cfg.summary())
-            code = EXIT_OK
-        else:
-            code = _DISPATCH[cfg.subcommand](cfg)
+        tables, lines = ({}, [cfg.summary()]) if cfg.dry_run \
+            else _DISPATCH[cfg.subcommand](cfg)
+        out = cfg.resolved_out()
+        for name, table in tables.items():
+            _write_atomic(out / name, table.to_csv())
+        for line in lines + [f"wrote {out / name}" for name in tables]:
+            print(line)
         _sys.stdout.flush()
-        return code
+        return EXIT_OK
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
         return EXIT_OK

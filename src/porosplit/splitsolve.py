@@ -91,12 +91,18 @@ class SplitConfig:
     max_inner: int = 200
 
     def __post_init__(self):
+        # a bool is a number to Python, but none of these knobs takes one
+        real = (numbers.Real, "a real number")
+        for name, (kind, noun) in (
+                ("tol", real), ("stabilization", real), ("gamma_target", real),
+                ("max_inner", (numbers.Integral, "an integer"))):
+            value = getattr(self, name)
+            if value is None and name in ("stabilization", "gamma_target"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {noun}, got {value!r}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if (isinstance(self.max_inner, bool)
-                or not isinstance(self.max_inner, numbers.Integral)):
-            raise ValueError("max_inner must be an integer, got "
-                             f"{self.max_inner!r}")
         if self.max_inner < 1:
             raise ValueError("max_inner must be >= 1")
         if self.stabilization is not None and not (

@@ -109,15 +109,21 @@ class EocTable:
 
 @dataclass
 class StudyReport:
-    """Tabular study output with a fixed column schema."""
+    """Tabular output with a fixed column schema; the one CSV writer.
+
+    A float is written by its shortest round-tripping repr (numpy floats
+    as plain floats), ``None`` as an empty field, anything else by ``str``.
+    """
 
     columns: tuple[str, ...]
     rows: list[tuple]
 
     def to_csv(self) -> str:
         def fmt(v):
+            if v is None:
+                return ""
             if isinstance(v, float):
-                return repr(v)
+                return repr(float(v))
             return str(v)
         lines = [",".join(self.columns)]
         lines.extend(",".join(fmt(v) for v in row) for row in self.rows)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from porosplit import cli, fem2d, splitsolve, studies
+from porosplit import cli, fem2d, splitsolve, stability, studies
 from porosplit.bdf import scheme
 from porosplit.linalg import weighted_norm_sq
 from porosplit.splitsolve import SplitConfig, integrate
@@ -83,10 +83,14 @@ class TestDryRun:
         ["iters", "--dry-run"],
         ["stability", "--dry-run"],
     ])
-    def test_every_subcommand_supports_dry_run(self, argv, capsys):
+    def test_every_subcommand_supports_dry_run(self, argv, tmp_path,
+                                               capsys):
+        out_dir = tmp_path / "out"
+        argv = argv + ["--out", str(out_dir)]
         assert main(argv) == EXIT_OK
-        out = capsys.readouterr().out
-        assert argv[0] in out
+        # the summary is all it prints, and it writes no file
+        assert capsys.readouterr().out == parse_config(argv).summary() + "\n"
+        assert not out_dir.exists()
 
 
 class TestMain:
@@ -147,17 +151,37 @@ class TestMain:
 
     def test_network_run(self, tmp_path):
         code = main(["network", "--k", "1", "--tau", "2^-3",
-                     "--networks", "2", "--alphas", "0.4,0.2",
+                     "--alphas", "0.4,0.2",
                      "--moduli", "1,2", "--mobilities", "1,0.5",
                      "--beta", "0,1=1e-3", "--out", str(tmp_path)])
         assert code == EXIT_OK
         assert (tmp_path / "network_steps_1.csv").exists()
+
+    def test_network_count_is_the_number_of_alphas(self, tmp_path, capsys):
+        assert main(["network", "--tau", "2^-3", "--alphas", "0.4,0.2,0.1",
+                     "--moduli", "1,1,5", "--mobilities", "1,1,1",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("network-toy(J=3):")
+        assert main(["network", "--tau", "2^-3", "--alphas", "0.4,0.2,0.1",
+                     "--moduli", "1,1,5", "--out", str(tmp_path)]) \
+            == EXIT_VALIDATION
+        assert "one alpha/modulus/mobility per network" \
+            in capsys.readouterr().err
+        assert _exit_code(["network", "--tau", "2^-3", "--networks", "2",
+                           "--dry-run"]) == EXIT_USAGE
 
     def test_stability_subcommand(self, tmp_path, capsys):
         assert main(["stability", "--out", str(tmp_path)]) == EXIT_OK
         text = (tmp_path / "stability.csv").read_text().splitlines()
         assert text[0] == "k,eta,min_real_part,identity_residual"
         assert len(text) == 6
+        for k, line in enumerate(text[1:], 1):
+            order, eta, min_re, resid = line.split(",")
+            cert = stability.certificate(k)
+            assert (int(order), float(eta), float(min_re)) \
+                == (k, cert.multiplier, cert.min_real_part)
+            # a plain number where the identity is checked, else empty
+            assert (0.0 <= float(resid) < 1e-12) if k <= 2 else resid == ""
 
     def test_convergence_subcommand(self, tmp_path, capsys):
         code = main(["convergence", "--k", "1", "--problem", "toy",
@@ -346,6 +370,94 @@ class TestModuleEntryPoint:
         assert proc.stdout.startswith("porosplit biot2d")
 
 
+# One small run of every subcommand (--n 4, two-tau grids), and its files.
+SMALL_RUNS = {
+    "toy": (["toy", "--tau", "2^-3"], ["toy_steps_1.csv"]),
+    "biot2d": (["biot2d", "--n", "4", "--tau", "2^-3"],
+               ["biot2d_steps_1.csv"]),
+    "network": (["network", "--tau", "2^-3"], ["network_steps_1.csv"]),
+    "convergence": (["convergence", "--n", "4", "--taus", "2^-3,2^-4"],
+                    ["convergence_1.csv"]),
+    "balance": (["balance", "--n", "4", "--taus", "2^-3,2^-4"],
+                ["balancing_1.csv", "iteration_averages_1.csv"]),
+    "iters": (["iters", "--ks", "1,2", "--omegas", "2", "--gammas", "0.5",
+               "--taus", "2^-3,2^-4"],
+              ["iterations_1.csv", "iterations_2.csv"]),
+    "stability": (["stability"], ["stability.csv"]),
+}
+
+# Study subcommand -> the studies function it calls, and the tables of
+# that function's result by file name.
+STUDY_TABLES = {
+    "convergence": ("convergence_study",
+                    lambda r: {f"convergence_{r.order}.csv": r.report}),
+    "balance": ("balancing_study",
+                lambda r: {f"balancing_{r.order}.csv": r.report,
+                           f"iteration_averages_{r.order}.csv":
+                               r.iteration_averages}),
+    "iters": ("iteration_study",
+              lambda r: {f"iterations_{r.order}.csv": r.report}),
+}
+
+
+class TestOutputContract:
+    """A runner returns its tables and its summary; ``main`` writes every
+    table, then prints the summary and one ``wrote`` line per file."""
+
+    @pytest.mark.parametrize("sub", list(SMALL_RUNS))
+    def test_files_are_the_tables_and_wrote_lines_come_last(
+            self, sub, tmp_path, capsys, monkeypatch):
+        argv, files = SMALL_RUNS[sub]
+        returned = []
+        runner = cli._DISPATCH[sub]
+        monkeypatch.setitem(cli._DISPATCH, sub, lambda cfg: returned.append(
+            runner(cfg)) or returned[-1])
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+        (tables, lines), = returned
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
+        assert sorted(tables) == files
+        for name, table in tables.items():
+            assert (tmp_path / name).read_text() == table.to_csv()
+        assert lines
+        assert capsys.readouterr().out.splitlines() == lines + [
+            f"wrote {tmp_path / name}" for name in tables]
+
+    @pytest.mark.parametrize("sub", list(STUDY_TABLES))
+    def test_study_files_are_the_library_tables(self, sub, tmp_path,
+                                                monkeypatch):
+        name, tables_of = STUDY_TABLES[sub]
+        results = []
+        study = getattr(studies, name)
+        monkeypatch.setattr(studies, name, lambda *args, **kwargs: (
+            results.append(study(*args, **kwargs)) or results[-1]))
+        assert main(SMALL_RUNS[sub][0] + ["--out", str(tmp_path)]) == EXIT_OK
+        written = {}
+        for result in results:
+            written.update(tables_of(result))
+        assert sorted(written) == SMALL_RUNS[sub][1]
+        for file, table in written.items():
+            assert (tmp_path / file).read_text() == table.to_csv()
+
+    @pytest.mark.parametrize("sub", ["toy", "biot2d", "network"])
+    def test_steps_file_holds_the_step_reports(self, sub, tmp_path,
+                                               monkeypatch):
+        runs = []
+        original = splitsolve.integrate
+        monkeypatch.setattr(splitsolve, "integrate", lambda *a, **kw: (
+            runs.append(original(*a, **kw)) or runs[-1]))
+        argv, (file,) = SMALL_RUNS[sub]
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+        (traj,) = runs
+        lines = (tmp_path / file).read_text().splitlines()
+        assert lines[0] == ("n,t,J_n,predicted_J_n,terminal_functional,"
+                            "contraction_ratio_median")
+        assert [line.split(",") for line in lines[1:]] == [
+            [str(r.index), repr(float(r.time)), str(r.inner_iterations),
+             "" if r.predicted is None else str(r.predicted),
+             repr(float(r.terminal_value)), repr(float(r.ratio_median))]
+            for r in traj.reports]
+
+
 class TestClosedStdout:
     """A reader that leaves early finds a finished run: every subcommand
     writes its files before it prints."""
@@ -359,7 +471,8 @@ class TestClosedStdout:
         (["iters", "--ks", "1,2", "--omegas", "2", "--gammas", "0.5",
           "--taus", "2^-3,2^-4"], ["iterations_1.csv", "iterations_2.csv"],
          "1"),
-    ])
+    ] + [SMALL_RUNS[sub] + ("1",)
+         for sub in ("biot2d", "network", "convergence", "balance")])
     def test_exits_ok_with_its_files_and_no_stderr(self, argv, files,
                                                    unbuffered, tmp_path):
         root = Path(__file__).resolve().parents[1]
@@ -412,7 +525,7 @@ class TestBadNumericInput:
         ["network", "--tau", "2^-3", "--alphas", "nan,0.2"],
         ["network", "--tau", "2^-3", "--beta", "0,1=nan"],
         ["network", "--tau", "2^-3", "--moduli", "inf,1"],
-        ["network", "--tau", "2^-3", "--networks", "2",   # 3 alphas for 2
+        ["network", "--tau", "2^-3",       # 3 alphas, 3 moduli, 2 mobilities
          "--alphas", "0.4,0.2,0.1", "--moduli", "1,1,5"],
     ])
     def test_fails_with_exit_code_and_no_traceback(self, argv, tmp_path,
@@ -422,6 +535,16 @@ class TestBadNumericInput:
         assert code in (EXIT_USAGE, EXIT_VALIDATION), err
         assert "Traceback" not in err
         assert err.strip()
+
+    def test_a_negative_seed_is_named_before_any_work(self, tmp_path,
+                                                       capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(stability, "certificate", calls.append)
+        assert main(["stability", "--seed", "-1", "--out", str(tmp_path)]) \
+            == EXIT_VALIDATION
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert calls == []
+        assert not any(tmp_path.iterdir())
 
     def test_exchange_pair_given_twice_fails_before_any_run(
             self, tmp_path, capsys, monkeypatch):
@@ -449,7 +572,7 @@ SAMPLES = {
     "out": "elsewhere", "k": "2", "ks": "1,3", "tau": "2^-4",
     "taus": "2^-2,2^-3", "T": "2", "tol": "1e-7", "s": "3", "gamma": "0.3",
     "L": "2", "gammas": "0.2", "omega": "3", "omegas": "3", "problem": "toy",
-    "reference": "analytic", "n": "8", "networks": "3",
+    "reference": "analytic", "n": "8",
     "alphas": "0.1,0.2,0.3", "moduli": "1,2,3", "mobilities": "1,2,3",
     "beta": "0,2=1e-3", "seed": "5",
 }

@@ -232,6 +232,26 @@ class TestStepSplit:
         with pytest.raises(ValueError, match="max_inner must be an integer"):
             SplitConfig(tol=1e-6, max_inner=max_inner)
 
+    @pytest.mark.parametrize("name, value, rejected", [
+        ("tol", True, True),            # used to run with tol = 1
+        ("stabilization", True, True),  # used to run with L = 1
+        ("gamma_target", True, True),
+        ("tol", "1e-6", True),          # these three raised TypeError
+        ("stabilization", "1", True),
+        ("gamma_target", "0.5", True),
+        ("tol", np.float64(1e-6), False),
+        ("stabilization", np.float64(1.0), False),
+        ("gamma_target", np.float32(0.5), False),
+    ])
+    def test_config_takes_real_numbers_only(self, name, value, rejected):
+        kwargs = {"tol": 1e-6, name: value}
+        if rejected:
+            with pytest.raises(ValueError,
+                               match=f"{name} must be a real number"):
+                SplitConfig(**kwargs)
+        else:
+            assert getattr(SplitConfig(**kwargs), name) == value
+
     def test_config_accepts_a_numpy_integer_max_inner(self, toy):
         cfg = SplitConfig(tol=1e-12, stabilization=500.0,
                           max_inner=np.int64(3))

@@ -1,13 +1,14 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from porosplit import fem2d
 from porosplit.bdf import scheme
 from porosplit.splitsolve import SplitConfig, integrate
-from porosplit.studies import (EocTable, balancing_study, convergence_study,
-                               iteration_study)
+from porosplit.studies import (EocTable, StudyReport, balancing_study,
+                               convergence_study, iteration_study)
 from porosplit.system import InvalidParameter, make_toy
 
 
@@ -246,3 +247,14 @@ class TestDeterminism:
         res1 = convergence_study(toy, 1, [0.25, 0.125], tol_exponent=2.5)
         res2 = convergence_study(toy, 1, [0.25, 0.125], tol_exponent=2.5)
         assert res1.report.to_csv() == res2.report.to_csv()
+
+
+class TestStudyReport:
+    def test_csv_fields(self):
+        report = StudyReport(columns=("k", "x", "y", "mode"),
+                             rows=[(1, 0.1, None, "split"),
+                                   (np.int64(2), np.float64(1e-16), math.nan,
+                                    "implicit")])
+        # a numpy float is written as the plain float it holds, None as ""
+        assert report.to_csv() == ("k,x,y,mode\n1,0.1,,split\n"
+                                   "2,1e-16,nan,implicit\n")
