@@ -219,6 +219,8 @@ class RunConfig:
     reference: str = "fine-implicit"
 
     def validate(self) -> None:
+        if self.subcommand in _SINGLE and self.tau is None:
+            raise ValidationError("--tau is required for single runs")
         if self.gamma is not None and self.stabilization is not None:
             raise ValidationError("--gamma and --L are mutually exclusive")
         for name, value in (("tol", self.tol), ("s", self.tol_exponent),
@@ -411,8 +413,6 @@ def _split_config(cfg: RunConfig, tau: float) -> splitsolve.SplitConfig:
 
 
 def _run_single(cfg: RunConfig) -> _Output:
-    if cfg.tau is None:
-        raise ValidationError("--tau is required for single runs")
     sys_obj = _build_single_system(cfg)
     traj = splitsolve.integrate(sys_obj, _split_config(cfg, cfg.tau),
                                 make_scheme(cfg.order), cfg.tau, cfg.t_end,

@@ -285,7 +285,9 @@ def assemble_biot(grid: Grid2D, params: BiotParameters,
     displacement and pressure-gradient norms, the scalar mass matrix for
     the pressure norm. Sources and initial data come from ``solution``
     when given (zero otherwise); the initial displacement is recomputed
-    from the momentum balance so the initial data are consistent.
+    from the momentum balance so the initial data are consistent, and the
+    factor of A that solves it is kept as the system's
+    ``elasticity_factor``.
 
     The two load vectors are integrated once, at t = 0, and each load
     call scales its vector by exp(-t / decay_time). One probe time checks
@@ -350,7 +352,8 @@ def assemble_biot(grid: Grid2D, params: BiotParameters,
         p0 = interpolate(grid, solution.p, 0.0)
         exact_u = lambda t: interpolate(grid, solution.u, t)
         exact_p = lambda t: interpolate(grid, solution.p, t)
-    u0 = factorize(elasticity).solve(coupling.T @ p0 + load_u(0.0))
+    a_factor = factorize(elasticity)
+    u0 = a_factor.solve(coupling.T @ p0 + load_u(0.0))
 
     return CoupledSystem(
         elasticity=elasticity,
@@ -371,6 +374,7 @@ def assemble_biot(grid: Grid2D, params: BiotParameters,
         exact_u=exact_u,
         exact_p=exact_p,
         label=f"biot2d(n={grid.n})",
+        elasticity_factor=a_factor,
     )
 
 

@@ -24,7 +24,8 @@ least by ``sqrt(L / (2 c_c + L))`` per inner iteration.
 
 One :class:`StepperWork` per :func:`integrate` call decides L, G, W and
 the predicted contraction once, and factors each block on its first
-solve, so a run factors only what its steps use.
+solve, so a run factors only what its steps use. A is not among them:
+the displacement solves use the system's ``elasticity_factor``.
 """
 
 from __future__ import annotations
@@ -228,7 +229,8 @@ class StepperWork:
 
     A split run resolves L at construction as ``stabilization``:
     ``cfg.stabilization``; or for ``cfg.gamma_target`` the exact L on a
-    scalar pressure, else the inverse of gamma^2 = (L/2)/(c_c + L/2); or
+    scalar pressure (for any scalar M_H), else the inverse of
+    gamma^2 = (L/2)/(c_c + L/2); or
     :func:`default_stabilization`, beta. An inverted L carries the
     guarantee only when it is >= beta: on Biot, gamma = 0.15 gives
     L = 0.184 < beta = 0.9 (ratios after the first stay below 0.125 in
@@ -248,9 +250,10 @@ class StepperWork:
 
     ``coupling_t`` is D^T, transposed once here: for a sparse D each
     ``.T`` builds a new matrix object, and the sweeps would build one per
-    displacement solve. Each factor is built on first use and kept: A
-    (split sweeps, the exact L for a gamma target), the split pressure
-    block, and one monolithic block per BDF scheme stepped.
+    displacement solve. Each factor is built on first use and kept: the
+    split pressure block, and one monolithic block per BDF scheme stepped.
+    A is factored by the system, not here: the split sweeps and the exact
+    L for a gamma target solve with ``sys.elasticity_factor``.
     """
 
     def __init__(self, sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
@@ -276,15 +279,16 @@ class StepperWork:
         elif cfg.gamma_target is None:
             ell = default_stabilization(sys)
         elif sys.dim_p == 1:
-            # the sweeps reduce to dp_i = gamma dp_{i-1} with
-            # gamma = (L - s) / (L + C + (tau/xi0) B), s = D A^{-1} D^T
+            # the sweeps reduce to dp_i = gamma dp_{i-1} with gamma =
+            # (L m - s) / (L m + C + (tau/xi0) B), s = D A^{-1} D^T, m = M_H
             gamma = cfg.gamma_target
-            s = float((sys.coupling @ self.elasticity_factor().solve(
+            s = float((sys.coupling @ sys.elasticity_factor.solve(
                 self.coupling_t @ np.ones(1)))[0])
             c_val = float(sys.storage[0, 0])
             b_val = float(sys.flow_stiffness[0, 0])
             ell = (s / (1.0 - gamma)
-                   + gamma / (1.0 - gamma) * (c_val + tau / xi0 * b_val))
+                   + gamma / (1.0 - gamma) * (c_val + tau / xi0 * b_val)
+                   ) / float(sys.norm_p[0, 0])
         else:
             g2 = cfg.gamma_target ** 2
             ell = 2.0 * sys.storage_coercivity * g2 / (1.0 - g2)
@@ -309,9 +313,6 @@ class StepperWork:
             except linalg.LinalgError as exc:
                 raise SolverFailure(f"factorization failed: {exc}") from exc
         return factor
-
-    def elasticity_factor(self) -> linalg.Factor:
-        return self._factor("elasticity", lambda: self.sys.elasticity)
 
     def pressure_factor(self) -> linalg.Factor:
         """Factor of the split pressure block (xi0/tau)(C + L M_H) + B."""
@@ -354,7 +355,7 @@ def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
     """
     sys, cfg, sch, tau = work.sys, work.cfg, work.scheme, work.tau
     d_t, lag = work.coupling_t, work.lag
-    p_factor, a_factor = work.pressure_factor(), work.elasticity_factor()
+    p_factor, a_factor = work.pressure_factor(), sys.elasticity_factor
     su, sp = history_sum(sch, hist_u), history_sum(sch, hist_p)
     dim_u = sys.dim_u
     scalar_p = sys.dim_p == 1

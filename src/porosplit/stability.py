@@ -129,7 +129,13 @@ def criterion_min(k: int, eta: float, samples: int = _SEARCH_SAMPLES) -> float:
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
     zeta, xi = _sampled_circle(k, samples)
-    return float(np.min((xi / (1.0 - eta * zeta)).real))
+    # one temporary, divided into in place: the search calls this a few
+    # hundred times on 1.6 MB arrays, and fresh temporaries per call make
+    # its speed depend on what the process freed before
+    q = zeta * -eta
+    q += 1.0
+    np.divide(xi, q, out=q)
+    return float(q.real.min())
 
 
 @lru_cache(maxsize=None)

@@ -204,27 +204,23 @@ class ConvergenceResult:
     report: StudyReport
 
 
-def convergence_study(sys: CoupledSystem, order: int, taus, tol_exponent=None,
-                      fixed_tol: Optional[float] = None,
-                      reference: str = "fine-implicit", t_end: float = 1.0,
-                      t_start: float = 0.0, gamma_target: float = 0.4
-                      ) -> ConvergenceResult:
+def convergence_study(sys: CoupledSystem, order: int, taus,
+                      tol_exponent: float, reference: str = "fine-implicit",
+                      t_end: float = 1.0, t_start: float = 0.0,
+                      gamma_target: float = 0.4) -> ConvergenceResult:
     """Split-integration errors under tau-halving, with observed orders.
 
-    Tolerance per run is ``tau ** tol_exponent`` unless ``fixed_tol`` is
-    given. ``reference`` selects the fine implicit run (step = smallest
-    tau / 8) or the system's analytic evaluators. Implicit same-tau
-    baselines are recorded alongside the split rows. A positive
-    ``t_start`` measures on [t_start, t_start + t_end], past the initial
-    layer that rough initial data excites in the stiff discrete modes
-    (those pollute high-order measurements at coarse steps). The tau
-    grid must have at least two steps, each half the one before; it is
-    checked before the first run.
+    Tolerance per run is ``tau ** tol_exponent``. ``reference`` selects
+    the fine implicit run (step = smallest tau / 8) or the system's
+    analytic evaluators. Implicit same-tau baselines are recorded
+    alongside the split rows. A positive ``t_start`` measures on
+    [t_start, t_start + t_end], past the initial layer that rough initial
+    data excites in the stiff discrete modes (those pollute high-order
+    measurements at coarse steps). The tau grid must have at least two
+    steps, each half the one before; it is checked before the first run.
     """
     taus = sorted(taus, reverse=True)
     _check_halving(taus)
-    if fixed_tol is None and tol_exponent is None:
-        raise ValueError("give tol_exponent or fixed_tol")
     sys = _shifted(sys, t_start)
     k = order
 
@@ -240,8 +236,7 @@ def convergence_study(sys: CoupledSystem, order: int, taus, tol_exponent=None,
 
     run = functools.partial(_run, sys, make_scheme(k), t_end, gamma_target,
                             states)
-    records = [run(tau, mode, fixed_tol if fixed_tol is not None
-                   else tau ** tol_exponent)
+    records = [run(tau, mode, tau ** tol_exponent)
                for tau in taus for mode in ("split", "implicit")]
     split_recs = [r for r in records if r.mode == "split"]
     eoc = EocTable(taus=[r.tau for r in split_recs],

@@ -4,7 +4,11 @@ A :class:`CoupledSystem` bundles the four operator blocks (elasticity,
 flow stiffness, storage, coupling), the three norm matrices used by error
 measures and the termination functional, the three coercivity constants
 and the coupling constant of the underlying bilinear forms,
-time-dependent sources, and consistent initial data.
+time-dependent sources, and consistent initial data. It also owns the one
+factorization of the elasticity operator A: A does not depend on the
+time step, the stabilization or the BDF order, so the builder that
+factors A for the initial data hands its factor to the system, and every
+run, the modal oracle and the gamma inversion solve with it.
 
 One concrete family is built here, by one constructor: the
 multiple-network toy (one tridiagonal elastic block and one scalar
@@ -19,13 +23,13 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
 
-from .linalg import as_array, factorize
+from .linalg import DimensionMismatch, Factor, as_array, factorize
 
 __all__ = [
     "InvalidParameter",
@@ -50,8 +54,15 @@ class CoupledSystem:
     from below, and beta = lambda_max(D A^{-1} D^T, M_H) (M_H: ``norm_p``)
     from above, so that ||D^T q||^2_{A^{-1}} <= beta ||q||_H^2.
 
-    Frozen: derived systems are built with :func:`dataclasses.replace`.
-    Sources must be pure functions of time.
+    ``elasticity_factor`` is the one factorization of A. A builder that
+    has factored A passes its factor in; a system built without one
+    factors A here. A factor passed in must have A's shape, else
+    :class:`~porosplit.linalg.DimensionMismatch`.
+
+    Frozen: derived systems are built with :func:`dataclasses.replace`,
+    which hands them the same factor object; one that replaces A must
+    also pass ``elasticity_factor=None``. Sources must be pure functions
+    of time.
     """
 
     # Operators and norm matrices: numpy.ndarray or scipy.sparse matrices.
@@ -75,6 +86,18 @@ class CoupledSystem:
     semidiscrete_u: Optional[Callable[[float], np.ndarray]] = None
     semidiscrete_p: Optional[Callable[[float], np.ndarray]] = None
     label: str = ""
+    elasticity_factor: Optional[Factor] = field(default=None, repr=False,
+                                                compare=False)
+
+    def __post_init__(self):
+        factor = self.elasticity_factor
+        if factor is None:
+            object.__setattr__(self, "elasticity_factor",
+                               factorize(self.elasticity))
+        elif factor.shape != self.elasticity.shape:
+            raise DimensionMismatch(
+                f"elasticity factor of shape {factor.shape} for an "
+                f"elasticity operator of shape {self.elasticity.shape}")
 
     @property
     def dim_u(self) -> int:
@@ -112,10 +135,11 @@ def semidiscrete_solution(sys: CoupledSystem, shape: tuple[str, float]):
 
     Construction only validates: the flow operator must be symmetric and
     the stored loads must match the declared shape, else
-    :class:`InvalidParameter` is raised. The modal data (the factorization
-    of A, the dense Schur complement, its generalized eigenpairs and the
-    modal loads) cost O(n_p^3) and are built on the first evaluation of
-    either returned evaluator, then shared by both.
+    :class:`InvalidParameter` is raised. The modal data (the dense Schur
+    complement, its generalized eigenpairs and the modal loads) cost
+    O(n_p^3) and are built on the first evaluation of either returned
+    evaluator, then shared by both. A is solved with the system's
+    ``elasticity_factor``.
     """
     kind, par = shape
     b = sys.flow_stiffness
@@ -154,10 +178,11 @@ def semidiscrete_solution(sys: CoupledSystem, shape: tuple[str, float]):
     else:
         raise InvalidParameter(f"unknown source shape {kind!r}")
 
+    a_lu = sys.elasticity_factor
+
     @functools.cache
     def modal():
-        """(A factorization, modes, modal coefficients as a function of t)."""
-        a_lu = factorize(sys.elasticity)
+        """(modes, modal coefficients as a function of t)."""
         d = sys.coupling
         m_hat = as_array(sys.storage) + d @ a_lu.solve(as_array(d).T)
         lam, modes = scipy.linalg.eigh(as_array(b), m_hat)
@@ -181,14 +206,14 @@ def semidiscrete_solution(sys: CoupledSystem, shape: tuple[str, float]):
             def z_of_t(t: float) -> np.ndarray:
                 return z0 * np.exp(-lam * t) + c_mod * _expdiff(lam, rate, t)
 
-        return a_lu, modes, z_of_t
+        return modes, z_of_t
 
     def p_of_t(t: float) -> np.ndarray:
-        _, modes, z_of_t = modal()
+        modes, z_of_t = modal()
         return modes @ z_of_t(t)
 
     def u_of_t(t: float) -> np.ndarray:
-        return modal()[0].solve(sys.coupling.T @ p_of_t(t) + sys.load_u(t))
+        return a_lu.solve(sys.coupling.T @ p_of_t(t) + sys.load_u(t))
 
     return u_of_t, p_of_t
 
@@ -343,6 +368,7 @@ def _toy_family(alphas: np.ndarray, moduli: np.ndarray, mob: np.ndarray,
         u0=u0,
         p0=p0,
         label=label,
+        elasticity_factor=a_factor,
     )
     u, p = semidiscrete_solution(sys, ("sin", 1.0))
     return replace(sys, exact_u=u, exact_p=p, semidiscrete_u=u,

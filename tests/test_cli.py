@@ -92,6 +92,19 @@ class TestDryRun:
         assert capsys.readouterr().out == parse_config(argv).summary() + "\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("sub", ["toy", "biot2d", "network"])
+    def test_single_run_without_tau_fails_before_the_dry_run(self, sub,
+                                                             tmp_path,
+                                                             capsys):
+        # the dry run checks what the run checks: a single run needs --tau
+        out_dir = tmp_path / "out"
+        assert main([sub, "--dry-run", "--out", str(out_dir)]) \
+            == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tau is required" in captured.err
+        assert not out_dir.exists()
+
 
 class TestMain:
     def test_usage_error_exit_code(self, tmp_path, capsys):
@@ -596,9 +609,12 @@ class TestOptionTable:
         # where the subcommand takes --problem, pick one that reads opt
         context = (["--problem", opt.problems[0]]
                    if opt.problems and sub in _TAKES_PROBLEM else [])
-        from_flag = parse_config([sub, f"--{opt.name}", value] + context)
-        from_file = parse_config([sub, "--config", str(path)] + context)
-        default = parse_config([sub] + context)
+        # a single run needs --tau; the baseline gives one unlike the sample
+        required = ["--tau", "2^-3"] if sub in cli._SINGLE else []
+        given = context + ([] if opt.name == "tau" else required)
+        from_flag = parse_config([sub, f"--{opt.name}", value] + given)
+        from_file = parse_config([sub, "--config", str(path)] + given)
+        default = parse_config([sub] + context + required)
         assert getattr(from_flag, opt.dest) == getattr(from_file, opt.dest)
         assert getattr(from_flag, opt.dest) != getattr(default, opt.dest)
 

@@ -181,8 +181,8 @@ class TestSolveSpd:
 
 def _stepper_matrices(monkeypatch, n, k, tau):
     """The sparse matrices a Biot run at grid ``n``, BDF-``k`` and ``tau``
-    factors, as the stepper builds them: A, the split pressure block and
-    the monolithic block."""
+    solves with: A, which the system factors, and the split pressure block
+    and the monolithic block, as the stepper builds them."""
     built = []
 
     def keep(m):
@@ -191,14 +191,15 @@ def _stepper_matrices(monkeypatch, n, k, tau):
 
     monkeypatch.setattr(splitsolve, "factorize", keep)
     sch = scheme(k)
-    work = splitsolve.StepperWork(fem2d.manufactured_system(n),
-                                  splitsolve.SplitConfig(tol=1e-8), sch, tau,
-                                  "split")
-    work.elasticity_factor()
+    sys = fem2d.manufactured_system(n)
+    work = splitsolve.StepperWork(sys, splitsolve.SplitConfig(tol=1e-8), sch,
+                                  tau, "split")
     work.pressure_factor()
     work.block_factor(sch)
+    built.insert(0, sys.elasticity)
     assert all(scipy.sparse.issparse(m) for m in built)
-    return dict(zip(("elasticity", "pressure", "monolithic"), built))
+    return dict(zip(("elasticity", "pressure", "monolithic"), built,
+                    strict=True))
 
 
 class TestSparseOrdering:

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from porosplit import fem2d
+from porosplit import fem2d, splitsolve, system
 from porosplit.bdf import scheme
+from porosplit.linalg import factorize
 from porosplit.splitsolve import SplitConfig, integrate
 from porosplit.studies import (EocTable, StudyReport, balancing_study,
                                convergence_study, iteration_study)
@@ -51,8 +52,9 @@ class TestConvergenceStudy:
         assert 1.8 <= res.eoc.fitted_order <= 2.2
 
     def test_huge_tolerance_degrades_order(self, toy):
+        # tol = tau^-20 >= 2^60: one sweep per step
         res = convergence_study(toy, 2, [2 ** -e for e in (3, 4, 5)],
-                                fixed_tol=1e6, reference="fine-implicit")
+                                tol_exponent=-20, reference="fine-implicit")
         assert res.eoc.fitted_order < 1.5
 
     def test_analytic_reference_close_to_fine_implicit(self, toy):
@@ -189,9 +191,39 @@ class TestAverageIterationTable:
             res.records[(0.0625, s)].mean_inner for s in (1.0, 2.5)]
 
 
+class TestOneFactorOfA:
+    """A does not depend on tau, L or k: the system's builder factors it
+    once, and the study's runs, its reference run and the oracle that
+    seeds them all solve with that factor."""
+
+    @pytest.mark.parametrize("build, k", [
+        (lambda: make_toy(2.0), 1),
+        (lambda: fem2d.manufactured_system(4), 2),
+    ], ids=["toy", "biot2d-n4"])
+    def test_a_study_factors_A_only_when_the_system_is_built(
+            self, monkeypatch, build, k):
+        shapes = []
+
+        def counting(m):
+            shapes.append(m.shape)
+            return factorize(m)
+
+        for module in (system, fem2d, splitsolve):
+            monkeypatch.setattr(module, "factorize", counting)
+        sys = build()
+        a_shape = sys.elasticity.shape
+        assert shapes == [a_shape]
+        # t_start > 0 evaluates the modal oracle for the shifted start
+        convergence_study(sys, k, [0.25, 0.125], tol_exponent=k + 1.5,
+                          t_start=1.0)
+        assert shapes.count(a_shape) == 1
+        assert len(shapes) > 1      # the runs' pressure and BDF blocks
+
+
 class TestSplitImplicitConsistency:
     def test_split_records_reach_implicit_records_at_tiny_tolerance(self, toy):
-        res = convergence_study(toy, 1, [0.25, 0.125], fixed_tol=1e-13,
+        # tol = tau^17: 5.8e-11 at tau = 1/4, 2.2e-16 at tau = 1/8
+        res = convergence_study(toy, 1, [0.25, 0.125], tol_exponent=17,
                                 reference="fine-implicit")
         by_mode = {}
         for rec in res.records:

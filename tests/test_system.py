@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from porosplit import system
 from porosplit.linalg import DimensionMismatch, factorize
 from porosplit.system import (CoupledSystem, InvalidParameter, make_network_toy,
-                              make_toy, semidiscrete_solution)
+                              make_toy, semidiscrete_solution, time_shifted)
 from verification import (coupling_strength, exact_discrete_constants,
                           residual_coupled)
 
@@ -105,6 +105,34 @@ class TestMakeToy:
             expected = (b / (1 + a * a)) * (a * math.sin(t) - math.cos(t)
                                             + math.exp(-a * t))
             assert toy.exact_p(t)[0] == pytest.approx(expected, abs=1e-10)
+
+
+class TestElasticityFactor:
+    """The system owns the one factorization of A."""
+
+    def test_derived_systems_share_the_factor(self):
+        toy = make_toy(2.0)
+        assert time_shifted(toy, 1.0).elasticity_factor \
+            is toy.elasticity_factor
+        assert replace(toy, label="copy").elasticity_factor \
+            is toy.elasticity_factor
+
+    def test_hand_built_system_factors_A(self):
+        toy = make_toy(2.0)
+        given = {f.name: getattr(toy, f.name) for f in fields(CoupledSystem)
+                 if f.name != "elasticity_factor"}
+        built = CoupledSystem(**given)
+        assert built.elasticity_factor is not toy.elasticity_factor
+        rhs = np.array([1.0, -2.0, 0.5])
+        np.testing.assert_allclose(
+            toy.elasticity @ built.elasticity_factor.solve(rhs), rhs,
+            rtol=0.0, atol=1e-13)
+
+    def test_factor_of_the_wrong_shape_is_rejected(self):
+        toy = make_toy(2.0)
+        with pytest.raises(DimensionMismatch,
+                           match=r"factor of shape \(2, 2\).*\(3, 3\)"):
+            replace(toy, elasticity_factor=factorize(np.eye(2)))
 
 
 class TestOracleValidation:

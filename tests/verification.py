@@ -231,7 +231,7 @@ def reference_step_split(work: StepperWork, hist_u: History, hist_p: History,
     sys, cfg, sch, tau = work.sys, work.cfg, work.scheme, work.tau
     xi0, ell = sch.leading, work.stabilization
     w_u, w_p, w_q = termination_weights(work)
-    p_factor, a_factor = work.pressure_factor(), work.elasticity_factor()
+    p_factor, a_factor = work.pressure_factor(), sys.elasticity_factor
     su, sp = history_sum(sch, hist_u), history_sum(sch, hist_p)
     rhs_fixed = sys.load_p(t) - (sys.coupling @ su + sys.storage @ sp) / tau
     f_now = sys.load_u(t)
