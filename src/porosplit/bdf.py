@@ -40,12 +40,15 @@ class IncompleteHistory(RuntimeError):
 
 
 def _check_order(k: int) -> int:
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= MAX_ORDER:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) \
+            or not 1 <= k <= MAX_ORDER:
         raise UnsupportedOrder(f"BDF order must be an integer in 1..{MAX_ORDER}, got {k!r}")
     return int(k)
 
 
-@lru_cache(maxsize=None)
+# typed caches: True == 1 == np.int64(1) hash alike, and a bool order
+# must reach _check_order instead of an int's cached result
+@lru_cache(maxsize=None, typed=True)
 def exact_coefficients(k: int) -> tuple[Fraction, ...]:
     """Expand ``sum_{l=1..k} (1-s)^l / l`` into coefficients of s^0..s^k."""
     k = _check_order(k)
@@ -81,12 +84,15 @@ class BdfScheme:
         return self.coeffs[0]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def scheme(k: int) -> BdfScheme:
     """Build the BDF-k scheme.
 
     The multiplier is 0 for k <= 2; for k >= 3 it is produced by the
-    numeric search in :mod:`porosplit.stability` and cached.
+    closed-form search in :mod:`porosplit.stability` and cached. The
+    first scheme of an order k >= 3 pays for that search: one sampling
+    of the unit circle at 100 000 points and two evaluations of the
+    criterion on it, about 0.01-0.02 s.
     """
     k = _check_order(k)
     if k <= 2:

@@ -5,6 +5,21 @@ For BDF-k with generating polynomial ``xi``, the boundary criterion
 multiplier ``eta``. Sampling the boundary suffices: the real part is
 harmonic outside the unit disk and the criterion is an exterior condition.
 
+The smallest multiplier has a closed form on the samples. With
+``a = Re xi(zeta)`` and ``b = Re(xi(zeta) conj(zeta))`` the criterion at
+zeta is ``(a - eta*b) / |1 - eta*zeta|^2``, linear in eta up to a positive
+factor: a sample with b < 0 asks for eta >= a/b, one with b > 0 for
+eta <= a/b. The feasible multipliers therefore form one interval, whose
+lower end is ``max(0, max over b < 0 of a/b)``. The certificate allows
+the minimum down to a floor -eps rather than 0; the floor adds the
+convex term ``eps |1 - eta*zeta|^2`` to ``a - eta*b``, which moves an
+endpoint by O(eps/|b|) and adds a second root inside [0, 1) only where
+``|b| <~ eps``. Such samples (zeta = 1, where xi vanishes and a = b are
+round-off) bound nothing and are skipped; the floor covers them. So the
+search costs one sampling of the circle and two evaluations of the
+criterion, which certify the grid point found: feasible there,
+infeasible one grid step below.
+
 For k = 1, 2 the tested-form identity
 
     <tau M d_tau y^n, y^n - eta y^{n-1}>  -  ||M^{1/2} sum_l g_{l+1} y^{n-l}||^2
@@ -18,6 +33,7 @@ second difference [1/2, -1, 1/2]: the identity pins the alternating signs
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,14 +53,15 @@ __all__ = [
     "verify_identity",
 ]
 
-_COARSE_STEP = 1e-2
-_FINE_STEP = 1e-4
+_GRID_STEP = 1e-4
+_GRID_POINTS = 10_000          # the grid points i * 1e-4 below 1
 _FEASIBLE_FLOOR = -1e-12
+_ROUND_OFF = 1e-12             # a sample with |b| below this bounds no eta
 _SEARCH_SAMPLES = 100_000
 
 
 class NotFound(RuntimeError):
-    """No multiplier below 1 satisfied the criterion (must not occur for k <= 5)."""
+    """No multiplier below 1 was certified (must not occur for k <= 5)."""
 
 
 @dataclass(frozen=True)
@@ -121,64 +138,100 @@ def _sampled_circle(k: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
     return zeta, xi
 
 
+def _check_count(name: str, value, least: int) -> int:
+    """An integer count of at least ``least``; booleans are not counts."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"need at least {least} {name}, got {value}")
+    return int(value)
+
+
 def criterion_min(k: int, eta: float, samples: int = _SEARCH_SAMPLES) -> float:
     """Minimum of ``Re(xi(zeta)/(1 - eta*zeta))`` over the sampled unit circle."""
     _check_order(k)
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
-    if samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {samples}")
+    if isinstance(eta, (bool, np.bool_)) or not 0.0 <= eta < 1.0:
+        raise ValueError(f"eta must lie in [0, 1), got {eta!r}")
+    samples = _check_count("samples", samples, 1000)
     zeta, xi = _sampled_circle(k, samples)
-    # one temporary, divided into in place: the search calls this a few
-    # hundred times on 1.6 MB arrays, and fresh temporaries per call make
-    # its speed depend on what the process freed before
+    # one temporary (1.6 MB at 100 000 samples), divided into in place
     q = zeta * -eta
     q += 1.0
     np.divide(xi, q, out=q)
     return float(q.real.min())
 
 
-@lru_cache(maxsize=None)
+def _lower_end(zeta: np.ndarray, xi: np.ndarray) -> float:
+    """Lower end of the feasible multipliers on the sampled circle.
+
+    ``max(0, max over b < 0 of a/b)`` with ``a = Re xi`` and
+    ``b = Re(xi conj(zeta))``; samples with ``|b| <= _ROUND_OFF`` are
+    skipped, since they move ``a - eta*b`` by less than the floor.
+    """
+    a = xi.real
+    b = xi.real * zeta.real
+    b += xi.imag * zeta.imag
+    bounds = np.divide(a, b, out=np.zeros_like(b), where=b < -_ROUND_OFF)
+    return max(0.0, float(bounds.max()))
+
+
+# typed: 3.0 == np.int64(3) hash alike, and 3.0 must reach _check_order
+@lru_cache(maxsize=None, typed=True)
 def find_multiplier(k: int) -> MultiplierCertificate:
     """Smallest feasible multiplier on a 1e-4 grid for k = 3, 4, 5.
 
-    A coarse 1e-2 sweep brackets the feasibility boundary, then a 1e-4
-    sweep inside the bracket picks the smallest feasible grid point. The
-    criterion minimum is not smooth in eta, so grid search is used instead
-    of root finding. The sampled circle and xi on it do not depend on
-    eta: the search computes them once and releases them when it ends.
+    On a sample zeta the criterion reads ``(a - eta*b) / |1 - eta*zeta|^2``
+    with ``a = Re xi(zeta)`` and ``b = Re(xi(zeta) conj(zeta))``, so a
+    sample with b < 0 asks for eta >= a/b and one with b > 0 for
+    eta <= a/b. One vectorized pass over the sampled circle gives the
+    closed form ``eta_lo = max(0, max over b < 0 of a/b)``; the first grid
+    point ``i * 1e-4`` at or above it is certified with two evaluations
+    of :func:`criterion_min`: feasible at ``i * 1e-4`` and infeasible at
+    ``(i - 1) * 1e-4``. If it does not certify, the search steps at most
+    once up or down the grid before it raises :class:`NotFound`; it never
+    scans. The certificate is the one a scan of the grid from 0 would
+    return, because the feasible set is one interval: every sample bounds
+    eta from one side, and the floor term ``eps |1 - eta*zeta|^2`` moves
+    an endpoint by O(eps/|b|) and adds a second root in [0, 1) only where
+    ``|b| <~ eps``, on the samples skipped as round-off.
+
+    Cost: one sampling of the circle, which the search holds and
+    releases when it ends, and two (at most three) criterion evaluations.
     """
+    k = _check_order(k)
     if k not in (3, 4, 5):
         raise ValueError(f"multiplier search is for k in 3..5, got {k}")
     key = (k, _SEARCH_SAMPLES)
     _held_circle[key] = _sampled_circle(*key)
     try:
-        coarse = None
-        steps = round(1.0 / _COARSE_STEP)
-        for i in range(steps):
-            eta = i * _COARSE_STEP
-            if criterion_min(k, eta) >= _FEASIBLE_FLOOR:
-                coarse = eta
-                break
-        if coarse is None:
-            raise NotFound(f"no multiplier below 1 for k={k}")
-        start = max(0.0, coarse - _COARSE_STEP)
-        base = round(start / _FINE_STEP)
-        for i in range(base, base + round(_COARSE_STEP / _FINE_STEP) + 1):
-            eta = i * _FINE_STEP
-            m = criterion_min(k, eta)
-            if m >= _FEASIBLE_FLOOR:
-                return MultiplierCertificate(
-                    order=k, multiplier=eta, min_real_part=m,
-                    sample_count=_SEARCH_SAMPLES,
-                )
-        raise NotFound(f"fine sweep found no multiplier for k={k}")
+        i = math.ceil(_lower_end(*_held_circle[key]) / _GRID_STEP)
+        minimum = {}   # grid index -> criterion minimum there
+
+        def feasible_at(j: int) -> bool:
+            if j not in minimum:
+                if j >= _GRID_POINTS:
+                    raise NotFound(f"no multiplier below 1 for k={k}")
+                minimum[j] = criterion_min(k, j * _GRID_STEP)
+            return minimum[j] >= _FEASIBLE_FLOOR
+
+        if not feasible_at(i):
+            i += 1
+        elif i > 0 and feasible_at(i - 1):
+            i -= 1
+        if not feasible_at(i) or (i > 0 and feasible_at(i - 1)):
+            raise NotFound(f"the closed-form boundary does not certify "
+                           f"for k={k}")
+        return MultiplierCertificate(
+            order=k, multiplier=i * _GRID_STEP, min_real_part=minimum[i],
+            sample_count=_SEARCH_SAMPLES,
+        )
     finally:
         _held_circle.pop(key, None)
 
 
 def certificate(k: int) -> MultiplierCertificate:
     """Boundary certificate for any order: trivial multiplier for k <= 2."""
+    k = _check_order(k)
     if k <= 2:
         return MultiplierCertificate(
             order=k, multiplier=0.0,
@@ -231,8 +284,8 @@ def _random_spd(rng: np.random.Generator, dim: int) -> np.ndarray:
 def verify_identity(data: GStabilityData, trials: int, dim: int,
                     tau: float = 1.0, seed: int = 0) -> float:
     """Maximum relative residual of the identity over randomized trials."""
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials, got {trials}")
+    trials = _check_count("trials", trials, 100)
+    dim = _check_count("dim", dim, 1)
     worst = 0.0
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))

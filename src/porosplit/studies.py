@@ -74,6 +74,12 @@ def _check_halving(taus) -> None:
         raise ValueError(f"taus must decrease by factors of two, got {taus}")
 
 
+def _check_t_start(t_start: float) -> None:
+    """Reject a study clock start that is negative or not finite."""
+    if not (math.isfinite(t_start) and t_start >= 0.0):
+        raise ValueError(f"t_start must be finite and >= 0, got {t_start!r}")
+
+
 def _check_distinct(name: str, values) -> None:
     """Reject a sorted grid that lists a value twice: its runs would repeat."""
     for a, b in zip(values, values[1:]):
@@ -217,10 +223,12 @@ def convergence_study(sys: CoupledSystem, order: int, taus,
     [t_start, t_start + t_end], past the initial layer that rough initial
     data excites in the stiff discrete modes (those pollute high-order
     measurements at coarse steps). The tau grid must have at least two
-    steps, each half the one before; it is checked before the first run.
+    steps, each half the one before, and ``t_start`` must be finite and
+    non-negative; both are checked before the first run.
     """
     taus = sorted(taus, reverse=True)
     _check_halving(taus)
+    _check_t_start(t_start)
     sys = _shifted(sys, t_start)
     k = order
 
@@ -269,14 +277,18 @@ def balancing_study(sys: CoupledSystem, order: int, taus, exponents,
     with tol = tau**s joins it in one record. The flag per tau marks
     whether the s = k + 3/2 run stays within ``factor`` of the baseline.
     The same split runs give the iteration averages: their mean inner
-    count per (s, tau), s-major. A tau or exponent listed twice is
-    rejected before the first run.
+    count per (s, tau), s-major. A tau or exponent listed twice, a
+    ``t_start`` that is negative or not finite and a ``factor`` that is
+    not finite and positive are rejected before the first run.
     """
     k = order
     taus = sorted(taus, reverse=True)
     exponents = sorted(exponents)
     _check_distinct("taus", taus)
     _check_distinct("exponents", exponents)
+    _check_t_start(t_start)
+    if not (math.isfinite(factor) and factor > 0.0):
+        raise ValueError(f"factor must be finite and > 0, got {factor!r}")
     balanced_s = k + 1.5
     if not any(abs(s - balanced_s) < 1e-12 for s in exponents) or \
             not any(abs(s - k) < 1e-12 for s in exponents):

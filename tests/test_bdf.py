@@ -53,7 +53,7 @@ class TestCoefficients:
         assert sum(exact) == 0
         assert sum(ell * c for ell, c in enumerate(exact)) == -1
 
-    @pytest.mark.parametrize("k", [0, 6, -1])
+    @pytest.mark.parametrize("k", [0, 6, -1, True, np.True_, 1.0])
     def test_unsupported_orders(self, k):
         with pytest.raises(UnsupportedOrder):
             coefficients(k)
@@ -74,6 +74,20 @@ class TestScheme:
         s3 = scheme(3)
         assert 0.0 < s3.multiplier < 1.0
         assert scheme(3) is s3
+
+    @pytest.mark.parametrize("cached", [1, np.int64(1)])
+    def test_a_boolean_order_is_rejected_after_an_integer_one(self, cached):
+        # True hashes like 1, so a cache keyed on the value alone would
+        # hand it the BDF-1 scheme
+        assert scheme(cached).order == 1
+        assert exact_coefficients(cached) == TABLE[1]
+        with pytest.raises(UnsupportedOrder, match="True"):
+            scheme(True)
+        with pytest.raises(UnsupportedOrder, match="True"):
+            exact_coefficients(True)
+
+    def test_numpy_integer_orders_pass(self):
+        assert scheme(np.int64(3)) == scheme(3)
 
     def test_invalid_construction(self):
         with pytest.raises(UnsupportedOrder):

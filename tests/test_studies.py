@@ -23,6 +23,11 @@ def biot12():
     return fem2d.manufactured_system(12)
 
 
+@pytest.fixture(scope="module")
+def biot16():
+    return fem2d.manufactured_system(16)
+
+
 class TestEocTable:
     def test_orders_and_fit(self):
         table = EocTable(taus=[0.4, 0.2, 0.1], errors=[0.8, 0.2, 0.05])
@@ -88,6 +93,52 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="taus"):
             convergence_study(toy, 1, taus, tol_exponent=2.5)
         assert study_runs == []
+
+
+class TestStudyClock:
+    @pytest.mark.parametrize("t_start", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("study", ["convergence", "balancing"])
+    def test_t_start_checked_before_any_run(self, toy, study_runs, study,
+                                            t_start):
+        taus = [0.25, 0.125]
+        with pytest.raises(ValueError, match="t_start"):
+            if study == "convergence":
+                convergence_study(toy, 1, taus, tol_exponent=2.5,
+                                  t_start=t_start)
+            else:
+                balancing_study(toy, 1, taus, [1.0, 2.5], t_start=t_start)
+        assert study_runs == []
+
+    @pytest.mark.parametrize("factor", [-1.0, 0.0, math.nan, math.inf])
+    def test_balancing_factor_checked_before_any_run(self, toy, study_runs,
+                                                     factor):
+        with pytest.raises(ValueError, match="factor"):
+            balancing_study(toy, 1, [0.25, 0.125], [1.0, 2.5], factor=factor)
+        assert study_runs == []
+
+
+class TestHigherOrderPins:
+    """Fitted orders of split studies for k = 3..5 at tol = tau^(k+3/2),
+    tau = 2^-3..2^-7, pinned at the values this code gives. They are not
+    acceptance bounds: they record where the orders stand, so that a
+    change that moves them shows."""
+
+    TAUS = [2.0 ** -e for e in range(3, 8)]
+
+    @pytest.mark.parametrize("k, fitted", [(3, 2.915), (4, 3.837),
+                                           (5, 4.781)])
+    def test_toy_omega2_gamma04(self, toy, k, fitted):
+        res = convergence_study(toy, k, self.TAUS, tol_exponent=k + 1.5,
+                                gamma_target=0.4)
+        assert res.eoc.fitted_order == pytest.approx(fitted, abs=0.02)
+
+    # the Biot pairwise orders alternate (k = 4: 2.6, 5.9, 2.8, 6.0) as the
+    # mean inner count steps by whole sweeps, so the fit gets a wider band
+    @pytest.mark.parametrize("k, fitted", [(4, 4.341), (5, 4.195)])
+    def test_biot_n16_t_start1_gamma015(self, biot16, k, fitted):
+        res = convergence_study(biot16, k, self.TAUS, tol_exponent=k + 1.5,
+                                t_start=1.0, gamma_target=0.15)
+        assert res.eoc.fitted_order == pytest.approx(fitted, abs=0.05)
 
 
 class TestBalancingStudy:

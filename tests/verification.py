@@ -4,14 +4,16 @@ Residual and defect functions that check the library's outputs against
 the equations they are meant to solve: the coupled system's residuals,
 the BDF difference quotient and its defect, the sharp discrete constants
 of a system and the coupling strength they give, a finite-difference check
-that the manufactured Biot sources match their prescribed fields, and
-a plain evaluation of the stability boundary criterion that samples the
-circle on every call, and a split step that sweeps field by field. Nothing
-in ``porosplit`` needs them.
+that the manufactured Biot sources match their prescribed fields, a
+plain evaluation of the stability boundary criterion that samples the
+circle afresh, the two-level grid scan for the smallest multiplier that
+the closed-form search replaced, and a split step that sweeps field by
+field. Nothing in ``porosplit`` needs them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -22,6 +24,7 @@ from porosplit.fem2d import ManufacturedSolution
 from porosplit.linalg import (DimensionMismatch, as_array, as_vector,
                               weighted_norm_sq)
 from porosplit.splitsolve import StepperWork, StepReport
+from porosplit.stability import MultiplierCertificate
 from porosplit.system import CoupledSystem
 
 
@@ -81,10 +84,9 @@ def exact_discrete_constants(sys: CoupledSystem) -> dict[str, float]:
     }
 
 
-def boundary_criterion_min(k: int, eta: float, samples: int = 100_000
-                           ) -> float:
-    """Minimum of ``Re(xi(zeta)/(1 - eta*zeta))`` on ``samples``
-    equispaced points of the unit circle, sampled afresh on each call."""
+def boundary_criterion(k: int, samples: int = 100_000):
+    """``eta -> min Re(xi(zeta)/(1 - eta*zeta))`` on one fresh sampling of
+    ``samples`` equispaced points of the unit circle."""
     theta = 2.0 * np.pi * np.arange(samples) / samples
     zeta = np.exp(1j * theta)
     xi = np.zeros_like(zeta)
@@ -92,7 +94,34 @@ def boundary_criterion_min(k: int, eta: float, samples: int = 100_000
     for c in coefficients(k):
         xi += c * power
         power = power * zeta
-    return float(np.min((xi / (1.0 - eta * zeta)).real))
+    return lambda eta: float(np.min((xi / (1.0 - eta * zeta)).real))
+
+
+def boundary_criterion_min(k: int, eta: float, samples: int = 100_000
+                           ) -> float:
+    """The boundary criterion's minimum, sampling the circle on this call."""
+    return boundary_criterion(k, samples)(eta)
+
+
+@functools.cache
+def scanned_multiplier(k: int) -> MultiplierCertificate:
+    """Smallest feasible multiplier on the 1e-4 grid by a two-level scan.
+
+    A 1e-2 sweep from 0 finds the first feasible coarse point, then a 1e-4
+    sweep from one coarse step below it returns the first feasible fine
+    point. It evaluates the criterion 47, 110 and 144 times for k = 3, 4
+    and 5, on one sampling of the circle.
+    """
+    criterion = boundary_criterion(k)
+    coarse = next(i * 1e-2 for i in range(100) if criterion(i * 1e-2) >= -1e-12)
+    base = round(max(0.0, coarse - 1e-2) / 1e-4)
+    for i in range(base, base + 101):
+        eta = i * 1e-4
+        m = criterion(eta)
+        if m >= -1e-12:
+            return MultiplierCertificate(order=k, multiplier=eta,
+                                         min_real_part=m, sample_count=100_000)
+    raise AssertionError(f"the fine sweep found no multiplier for k={k}")
 
 
 def discrete_derivative(sch: BdfScheme, tau: float, newest: np.ndarray,
