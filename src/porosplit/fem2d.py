@@ -48,8 +48,10 @@ class Grid2D:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need at least 2 cells per side")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) \
+                or self.n < 2:
+            raise ValueError(f"n must be an integer >= 2 cells per side, "
+                             f"got {self.n!r}")
 
     @property
     def h(self) -> float:
@@ -100,7 +102,7 @@ class Grid2D:
 
 @dataclass(frozen=True)
 class BiotParameters:
-    """Positive material constants of the Biot model."""
+    """Finite positive material constants of the Biot model."""
 
     lam: float = 0.5
     mu: float = 0.125
@@ -110,8 +112,10 @@ class BiotParameters:
 
     def __post_init__(self):
         for name in ("lam", "mu", "kappa_over_nu", "inv_m", "alpha"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, "
+                                 f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -378,8 +382,7 @@ def assemble_biot(grid: Grid2D, params: BiotParameters,
     )
 
 
-def manufactured_system(n: int, params: Optional[BiotParameters] = None
-                        ) -> CoupledSystem:
+def manufactured_system(n: int) -> CoupledSystem:
     """Biot system on an n x n grid driven by the manufactured solution.
 
     Attaches both the interpolated analytic evaluators (``exact_*``) and
@@ -391,7 +394,7 @@ def manufactured_system(n: int, params: Optional[BiotParameters] = None
     :func:`porosplit.system.semidiscrete_solution`), so a run that never
     reads it never pays for its dense eigenproblem.
     """
-    params = params or BiotParameters()
+    params = BiotParameters()
     solution = manufactured(params)
     sys = assemble_biot(Grid2D(n), params, solution)
     u, p = semidiscrete_solution(sys, ("exp", 1.0 / solution.decay_time))

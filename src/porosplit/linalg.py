@@ -6,10 +6,10 @@ P1 Biot blocks); both multiply with ``@`` and transpose with ``.T``.
 :func:`factorize` is the one factorization entry point: it picks LAPACK
 LU (``scipy.linalg.lu_factor``) for an ndarray and SuperLU
 (``scipy.sparse.linalg.splu``) for a sparse matrix, and applies the same
-relative-pivot singularity check to both. Dense solves call LAPACK
-``getrs`` on the ``lu_factor`` output directly: the same routine
-``scipy.linalg.lu_solve`` ends in, without its per-call Python layers,
-which dominate a solve on the toy's 3x3 blocks.
+checks to both: finite entries, then a relative-pivot singularity check.
+Dense solves call LAPACK ``getrs`` on the ``lu_factor`` output directly:
+the same routine ``scipy.linalg.lu_solve`` ends in, without its per-call
+Python layers, which dominate a solve on the toy's 3x3 blocks.
 
 SuperLU orders for symmetric structure and pivots on the diagonal: a
 minimum-degree ordering of the pattern of A^T + A (``MMD_AT_PLUS_A``),
@@ -109,6 +109,8 @@ class Factor:
             raise DimensionMismatch(f"expected a square matrix, got {m.shape}")
         self.shape = m.shape
         row_mag = float(abs(m).sum(axis=1).max()) if m.size else 0.0
+        if not np.isfinite(row_mag):
+            raise LinalgError("non-finite entries")
         if row_mag == 0.0:
             raise SingularMatrix("zero matrix")
         if scipy.sparse.issparse(m):

@@ -149,11 +149,7 @@ class Trajectory:
     us: list[np.ndarray]
     ps: list[np.ndarray]
     reports: list[StepReport]
-    mode: str
     stabilization: Optional[float]
-
-    def __len__(self) -> int:
-        return len(self.times)
 
     def mean_inner(self) -> float:
         if not self.reports:
@@ -529,4 +525,4 @@ def integrate(sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
 
     times = tau * np.arange(n_steps + 1)
     return Trajectory(tau=tau, times=times, us=us, ps=ps, reports=reports,
-                      mode=mode, stabilization=work.stabilization)
+                      stabilization=work.stabilization)

@@ -7,22 +7,26 @@ Comparing against the analytic solution instead would bury the
 high-order temporal error under the fixed spatial error of the coarse
 elements, so that comparison is offered but not the default.
 
-A study makes each run once. One runner integrates a seeded run and
-measures it into an :class:`ErrorRecord`, which also keeps the run's
-mean inner count, so :func:`balancing_study` gives the error table and
-the iteration averages from the same runs.
+``_study`` decides, before a study's first run, what its runs share: it
+checks the clock start, shifts the clock with
+:func:`~porosplit.system.time_shifted`, reads the solution evaluators
+once for each run's k seeds ``seeds(tau)`` and builds one lookup
+``state_at(t) -> (u, p)`` from the fine implicit run or the analytic
+evaluators. Its runner ``run(tau, mode, tol)`` measures one seeded run
+into an :class:`ErrorRecord`, which also keeps the mean inner count, so
+:func:`balancing_study` gives the error table and the iteration averages
+from the same runs.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .bdf import BdfScheme, scheme as make_scheme
+from .bdf import scheme as make_scheme
 from .linalg import weighted_norm_sq
 from .splitsolve import SplitConfig, Trajectory, integrate
 from .system import CoupledSystem, make_toy, solution_evaluators, time_shifted
@@ -72,12 +76,6 @@ def _check_halving(taus) -> None:
         raise ValueError(f"an observed order needs at least two taus, got {taus}")
     if any(abs(a / b - 2.0) > 1e-9 for a, b in zip(taus, taus[1:])):
         raise ValueError(f"taus must decrease by factors of two, got {taus}")
-
-
-def _check_t_start(t_start: float) -> None:
-    """Reject a study clock start that is negative or not finite."""
-    if not (math.isfinite(t_start) and t_start >= 0.0):
-        raise ValueError(f"t_start must be finite and >= 0, got {t_start!r}")
 
 
 def _check_distinct(name: str, values) -> None:
@@ -136,30 +134,13 @@ class StudyReport:
         return "\n".join(lines) + "\n"
 
 
-def _seed_history(sys: CoupledSystem, k: int, tau: float):
-    """The k start-up states of a study run, on the system's own flow."""
-    # The semidiscrete displacement solves A u = D^T p + f, so the seeds sit
-    # on the algebraic constraint manifold (an interpolant of the analytic
-    # field misses it by the spatial consistency error, which the first step
-    # would amplify by 1/tau).
-    u_eval, p_eval = solution_evaluators(sys, "seeding a study run")
-    return ([u_eval(ell * tau) for ell in range(k)],
-            [p_eval(ell * tau) for ell in range(k)])
-
-
-def _shifted(sys: CoupledSystem, t_start: float) -> CoupledSystem:
-    """The study's system: ``sys`` with its clock started at ``t_start``
-    when that is positive."""
-    return time_shifted(sys, t_start) if t_start > 0.0 else sys
-
-
 def _max_errors(traj: Trajectory, sys: CoupledSystem, state_at,
                 start: int) -> tuple[float, float]:
     """Max over steps n >= start of the V and H errors against the
-    reference state ``state_at(n) -> (u, p)`` of step index n."""
+    reference state ``state_at(t) -> (u, p)`` at the step's time t."""
     err_u = err_p = 0.0
     for n in range(start, len(traj.times)):
-        u_ref, p_ref = state_at(n)
+        u_ref, p_ref = state_at(traj.times[n])
         err_u = max(err_u, math.sqrt(weighted_norm_sq(
             sys.norm_u, traj.us[n] - u_ref)))
         err_p = max(err_p, math.sqrt(weighted_norm_sq(
@@ -167,39 +148,61 @@ def _max_errors(traj: Trajectory, sys: CoupledSystem, state_at,
     return err_u, err_p
 
 
-def _on_evaluators(traj: Trajectory, u_eval, p_eval):
-    """Reference states of ``traj``'s steps from solution evaluators."""
-    return lambda n: (u_eval(traj.times[n]), p_eval(traj.times[n]))
-
-
-def _on_reference(traj: Trajectory, ref: Trajectory):
-    """Reference states of ``traj``'s steps from a finer run ``ref``."""
-    stride = traj.tau / ref.tau
-    if abs(stride - round(stride)) > 1e-9:
-        raise ValueError("reference step must divide the run step")
-    stride = round(stride)
-    return lambda n: (ref.us[n * stride], ref.ps[n * stride])
-
-
 def _reference_run(sys: CoupledSystem, k: int, tau_ref: float,
-                   t_end: float) -> Trajectory:
-    cfg = SplitConfig(tol=1.0)
-    seeds = _seed_history(sys, k, tau_ref)
-    return integrate(sys, cfg, make_scheme(k), tau_ref, t_end,
-                     mode="implicit", initial_history=seeds)
+                   t_end: float, seeds) -> Trajectory:
+    return integrate(sys, SplitConfig(tol=1.0), make_scheme(k), tau_ref,
+                     t_end, mode="implicit", initial_history=seeds(tau_ref))
 
 
-def _run(sys: CoupledSystem, sch: BdfScheme, t_end: float,
-         gamma_target: float, states, tau: float, mode: str,
-         tol: float) -> ErrorRecord:
-    """One seeded study run, measured over the steps n >= k against the
-    reference states ``states(traj)`` gives for its trajectory."""
-    cfg = SplitConfig(tol=tol, gamma_target=gamma_target)
-    traj = integrate(sys, cfg, sch, tau, t_end, mode=mode,
-                     initial_history=_seed_history(sys, sch.order, tau))
-    err_u, err_p = _max_errors(traj, sys, states(traj), start=sch.order)
-    return ErrorRecord(tau=tau, order=sch.order, tol=tol, err_u=err_u,
-                       err_p=err_p, mode=mode, mean_inner=traj.mean_inner())
+def _study(sys: CoupledSystem, k: int, taus, t_end: float, t_start: float,
+           gamma_target: float, reference: str = "fine-implicit"):
+    """The runner ``run(tau, mode, tol) -> ErrorRecord`` of one study, each
+    run measured over its steps n >= k. Checks ``t_start``, the order, the
+    reference, the evaluators and that the fine reference step
+    min(taus) / 8 divides every tau, all before the first run."""
+    if not (math.isfinite(t_start) and t_start >= 0.0):
+        raise ValueError(f"t_start must be finite and >= 0, got {t_start!r}")
+    sch = make_scheme(k)
+    tau_ref = min(taus) / 8.0
+    if reference not in ("fine-implicit", "analytic"):
+        raise ValueError(f"unknown reference {reference!r}")
+    if reference == "analytic" and sys.exact_u is None:
+        raise ValueError("analytic reference requires exact evaluators")
+    if reference == "fine-implicit" and any(
+            abs(tau / tau_ref - round(tau / tau_ref)) > 1e-9 for tau in taus):
+        raise ValueError(f"reference step must divide the run step: "
+                         f"tau_ref = {tau_ref:g}, taus {taus}")
+    if t_start > 0.0:
+        sys = time_shifted(sys, t_start)
+    # The semidiscrete displacement solves A u = D^T p + f, so the seeds sit
+    # on the algebraic constraint manifold (an interpolant of the analytic
+    # field misses it by the spatial consistency error, which the first step
+    # would amplify by 1/tau).
+    u_eval, p_eval = solution_evaluators(sys, "seeding a study run")
+
+    def seeds(tau):
+        return ([u_eval(ell * tau) for ell in range(k)],
+                [p_eval(ell * tau) for ell in range(k)])
+
+    if reference == "analytic":
+        def state_at(t):
+            return sys.exact_u(t), sys.exact_p(t)
+    else:
+        ref = _reference_run(sys, k, tau_ref, t_end, seeds)
+
+        def state_at(t):
+            n = round(t / ref.tau)
+            return ref.us[n], ref.ps[n]
+
+    def run(tau: float, mode: str, tol: float) -> ErrorRecord:
+        cfg = SplitConfig(tol=tol, gamma_target=gamma_target)
+        traj = integrate(sys, cfg, sch, tau, t_end, mode=mode,
+                         initial_history=seeds(tau))
+        err_u, err_p = _max_errors(traj, sys, state_at, start=sch.order)
+        return ErrorRecord(tau=tau, order=sch.order, tol=tol, err_u=err_u,
+                           err_p=err_p, mode=mode,
+                           mean_inner=traj.mean_inner())
+    return run
 
 
 @dataclass
@@ -228,22 +231,8 @@ def convergence_study(sys: CoupledSystem, order: int, taus,
     """
     taus = sorted(taus, reverse=True)
     _check_halving(taus)
-    _check_t_start(t_start)
-    sys = _shifted(sys, t_start)
     k = order
-
-    if reference == "fine-implicit":
-        ref = _reference_run(sys, k, min(taus) / 8.0, t_end)
-        states = lambda traj: _on_reference(traj, ref)
-    elif reference == "analytic":
-        if sys.exact_u is None:
-            raise ValueError("analytic reference requires exact evaluators")
-        states = lambda traj: _on_evaluators(traj, sys.exact_u, sys.exact_p)
-    else:
-        raise ValueError(f"unknown reference {reference!r}")
-
-    run = functools.partial(_run, sys, make_scheme(k), t_end, gamma_target,
-                            states)
+    run = _study(sys, k, taus, t_end, t_start, gamma_target, reference)
     records = [run(tau, mode, tau ** tol_exponent)
                for tau in taus for mode in ("split", "implicit")]
     split_recs = [r for r in records if r.mode == "split"]
@@ -278,26 +267,23 @@ def balancing_study(sys: CoupledSystem, order: int, taus, exponents,
     whether the s = k + 3/2 run stays within ``factor`` of the baseline.
     The same split runs give the iteration averages: their mean inner
     count per (s, tau), s-major. A tau or exponent listed twice, a
-    ``t_start`` that is negative or not finite and a ``factor`` that is
-    not finite and positive are rejected before the first run.
+    ``t_start`` that is negative or not finite, a ``factor`` that is not
+    finite and positive, exponents without k and k + 3/2 exactly and a
+    tau that min(taus) / 8 does not divide are rejected before the first
+    run.
     """
     k = order
     taus = sorted(taus, reverse=True)
     exponents = sorted(exponents)
     _check_distinct("taus", taus)
     _check_distinct("exponents", exponents)
-    _check_t_start(t_start)
     if not (math.isfinite(factor) and factor > 0.0):
         raise ValueError(f"factor must be finite and > 0, got {factor!r}")
     balanced_s = k + 1.5
-    if not any(abs(s - balanced_s) < 1e-12 for s in exponents) or \
-            not any(abs(s - k) < 1e-12 for s in exponents):
-        raise ValueError("exponents must include k and k + 3/2")
-    sys = _shifted(sys, t_start)
-
-    ref = _reference_run(sys, k, min(taus) / 8.0, t_end)
-    run = functools.partial(_run, sys, make_scheme(k), t_end, gamma_target,
-                            lambda traj: _on_reference(traj, ref))
+    if k not in exponents or balanced_s not in exponents:
+        raise ValueError(f"exponents must include k = {k} and k + 3/2 = "
+                         f"{balanced_s:g} exactly, got {exponents}")
+    run = _study(sys, k, taus, t_end, t_start, gamma_target)
     implicit_errors = {tau: run(tau, "implicit", 1.0).combined for tau in taus}
     records = {(tau, s): run(tau, "split", tau ** s)
                for tau in taus for s in exponents}
@@ -371,7 +357,7 @@ def iteration_study(order: int, omegas, gammas, taus, t_end: float = 1.0,
         cfg = SplitConfig(tol=1.0)
         traj = integrate(sys, cfg, sch, tau, t_end, mode="implicit")
         err_u, err_p = _max_errors(
-            traj, sys, _on_evaluators(traj, sys.exact_u, sys.exact_p), start=k)
+            traj, sys, lambda t: (sys.exact_u(t), sys.exact_p(t)), start=k)
         return (err_u + err_p) * tau ** 2.9
 
     cells = {}

@@ -272,6 +272,15 @@ class TestStudySubcommands:
         assert study_runs == []
         assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
+    def test_balance_reference_step_checked_before_any_run(
+            self, tmp_path, capsys, study_runs):
+        # tau_ref = 0.25 / 8 does not divide 0.3
+        code = main(["balance", "--k", "1", "--n", "4", "--taus", "0.3,0.25",
+                     "--T", "1.5", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "reference step must divide" in capsys.readouterr().err
+        assert study_runs == []
+
     @pytest.mark.parametrize("grid, message", [
         (["--omegas", "2,2", "--gammas", "0.5,0.5"], "omegas repeat 2"),
         (["--gammas", "0.5,0.1,0.5"], "gammas repeat 0.5"),

@@ -34,6 +34,27 @@ class TestGrid:
         assert g.triangle_count == 32
         assert g.interior_count == 9
 
+    @pytest.mark.parametrize("n", [2.5, 4.0, True, "4", 1, np.int64(1)])
+    def test_n_must_be_an_integer_of_at_least_two(self, n):
+        # Grid2D(2.5) would report 2.25 interior nodes
+        with pytest.raises(ValueError, match="n must be an integer >= 2"):
+            Grid2D(n)
+
+    def test_numpy_integer_accepted(self):
+        assert Grid2D(np.int64(4)).interior_count == 9
+
+
+class TestParameters:
+    @pytest.mark.parametrize("name", ["lam", "mu", "kappa_over_nu", "inv_m",
+                                      "alpha"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0,
+                                       -1.0])
+    def test_finite_and_positive_required(self, name, value):
+        # nan <= 0 is False, so a sign check alone lets NaN through to a
+        # singular factor whose message names no field
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            BiotParameters(**{name: value})
+
     def test_interior_map_excludes_boundary(self):
         g = Grid2D(3)
         x, y = g.nodes()

@@ -12,8 +12,8 @@ import scipy.sparse.linalg
 
 from porosplit import fem2d, splitsolve
 from porosplit.bdf import scheme
-from porosplit.linalg import (DimensionMismatch, SingularMatrix, as_array,
-                              factorize, weighted_norm_sq)
+from porosplit.linalg import (DimensionMismatch, LinalgError, SingularMatrix,
+                              as_array, factorize, weighted_norm_sq)
 
 # The two operator types the package uses: dense arrays and CSR matrices.
 KINDS = (np.asarray, scipy.sparse.csr_matrix)
@@ -85,6 +85,15 @@ class _FactorizeCases:
         # exact arithmetic leaves a pivot of 1e-14 against row magnitude 2
         with pytest.raises(SingularMatrix):
             self.solve(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]), np.ones(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # named as such, not as a singular matrix or a NaN solution
+        a = _laplacian(4)
+        a[1, 2] = bad
+        with pytest.raises(LinalgError, match="non-finite entries") as info:
+            factorize(self.kind(a))
+        assert not isinstance(info.value, SingularMatrix)
 
 
 class TestSolveDense(_FactorizeCases):

@@ -157,9 +157,19 @@ class TestBalancingStudy:
                 assert b <= a * 1.05 + 1e-14
         assert all(res.balanced_ok.values())
 
-    def test_requires_key_exponents(self, toy):
-        with pytest.raises(ValueError):
-            balancing_study(toy, 1, [0.25, 0.125], [1.0, 2.0])
+    # the records are keyed by the exponents given, so 2.5 + 1e-13 would
+    # leave no record at k + 3/2 = 2.5 to flag
+    @pytest.mark.parametrize("exponents", [[1.0, 2.0], [1.0, 2.5 + 1e-13]])
+    def test_requires_key_exponents(self, toy, study_runs, exponents):
+        with pytest.raises(ValueError, match="k \\+ 3/2 = 2.5 exactly"):
+            balancing_study(toy, 1, [0.25, 0.125], exponents)
+        assert study_runs == []
+
+    def test_reference_step_checked_before_any_run(self, toy, study_runs):
+        # tau_ref = 0.25 / 8 does not divide 0.3
+        with pytest.raises(ValueError, match="reference step must divide"):
+            balancing_study(toy, 1, [0.3, 0.25], [1.0, 2.5], t_end=1.5)
+        assert study_runs == []
 
     @pytest.mark.parametrize("taus, exponents, message", [
         ([0.25, 0.125, 0.25], [1.0, 2.5], "taus repeat 0.25"),
@@ -323,6 +333,92 @@ class TestSeeding:
                                match="semidiscrete_u/semidiscrete_p"):
                 study()
         assert study_runs == []
+
+
+class TestBitPins:
+    """Every ErrorRecord of three studies, bit for bit: (tol, err_u, err_p,
+    mean_inner) in ``float.hex`` per (tau, mode) or (tau, s). The values
+    come from the studies' earlier per-helper implementation, so a change
+    in how a study shifts its clock, seeds its runs or reads its reference
+    states shows here. They hold for IEEE doubles and this BLAS/LAPACK;
+    another library may move the last bits."""
+
+    TAUS = [2.0 ** -3, 2.0 ** -4, 2.0 ** -5]
+    TOY_FINE_IMPLICIT = {
+        (2 ** -3, "split"): ("0x1.6a09e667f3bcdp-11", "0x1.0997bcf7ae833p-3",
+                             "0x1.9eda48839f500p-4", "0x1.4924924924925p+3"),
+        (2 ** -3, "implicit"): ("0x1.6a09e667f3bcdp-11", "0x1.05e8da5b0c86ap-3",
+                                "0x1.9919820113e80p-4", "nan"),
+        (2 ** -4, "split"): ("0x1.0000000000000p-14", "0x1.20b264c042c0fp-5",
+                             "0x1.c2f0e785da800p-6", "0x1.8444444444444p+3"),
+        (2 ** -4, "implicit"): ("0x1.0000000000000p-14", "0x1.1e051a1b863b9p-5",
+                                "0x1.bec27cb445c00p-6", "nan"),
+        (2 ** -5, "split"): ("0x1.6a09e667f3bcdp-18", "0x1.287bb2e7b97a6p-7",
+                             "0x1.cf1a6c6749800p-8", "0x1.bdef7bdef7bdfp+3"),
+        (2 ** -5, "implicit"): ("0x1.6a09e667f3bcdp-18", "0x1.267e49ce23619p-7",
+                                "0x1.cbfebaf23f000p-8", "nan"),
+    }
+    TOY_ANALYTIC = {
+        (2 ** -3, "split"): ("0x1.6a09e667f3bcdp-11", "0x1.09e526bf590bcp-3",
+                             "0x1.9f5333a65ae00p-4", "0x1.4924924924925p+3"),
+        (2 ** -3, "implicit"): ("0x1.6a09e667f3bcdp-11", "0x1.06364422b70f4p-3",
+                                "0x1.99926d23cf780p-4", "nan"),
+        (2 ** -4, "split"): ("0x1.0000000000000p-14", "0x1.21e80bdeece37p-5",
+                             "0x1.c4d49410c8c00p-6", "0x1.8444444444444p+3"),
+        (2 ** -4, "implicit"): ("0x1.0000000000000p-14", "0x1.1f3ac13a305e1p-5",
+                                "0x1.c0a6293f34000p-6", "nan"),
+        (2 ** -5, "split"): ("0x1.6a09e667f3bcdp-18", "0x1.2d524f6262046p-7",
+                             "0x1.d6a91e9302800p-8", "0x1.bdef7bdef7bdfp+3"),
+        (2 ** -5, "implicit"): ("0x1.6a09e667f3bcdp-18", "0x1.2b54e648cbeb9p-7",
+                                "0x1.d38d6d1df8000p-8", "nan"),
+    }
+    BIOT_BALANCING = {
+        (2 ** -5, 1.0): ("0x1.0000000000000p-5", "0x1.725f89ff6629dp-5",
+                         "0x1.f1bc3269cb2cep-5", "0x1.0000000000000p+1"),
+        (2 ** -5, 2.0): ("0x1.0000000000000p-10", "0x1.08d6e1fd0dcd1p-9",
+                         "0x1.1ff8332f5fce5p-8", "0x1.0c00000000000p+2"),
+        (2 ** -5, 2.5): ("0x1.6a09e667f3bcdp-13", "0x1.6096b8b111e0bp-10",
+                         "0x1.340254562d231p-9", "0x1.8000000000000p+2"),
+        (2 ** -4, 1.0): ("0x1.0000000000000p-4", "0x1.683eed47d48e8p-5",
+                         "0x1.f2dadcfc7e052p-5", "0x1.0000000000000p+1"),
+        (2 ** -4, 2.0): ("0x1.0000000000000p-8", "0x1.aba756b0f467ap-9",
+                         "0x1.c8a0c15dda247p-8", "0x1.0000000000000p+2"),
+        (2 ** -4, 2.5): ("0x1.0000000000000p-10", "0x1.78cfa296e4ffdp-9",
+                         "0x1.56bf4d7442d71p-8", "0x1.4000000000000p+2"),
+        (2 ** -3, 1.0): ("0x1.0000000000000p-3", "0x1.56be44b1a977dp-5",
+                         "0x1.f85f1a978f8c8p-5", "0x1.0000000000000p+1"),
+        (2 ** -3, 2.0): ("0x1.0000000000000p-6", "0x1.d449385d571bap-8",
+                         "0x1.f432005b82ecep-7", "0x1.c000000000000p+1"),
+        (2 ** -3, 2.5): ("0x1.6a09e667f3bcdp-8", "0x1.8729684031ad1p-8",
+                         "0x1.7cab7d9e1fd9ep-7", "0x1.0000000000000p+2"),
+    }
+    BIOT_IMPLICIT = {
+        2 ** -5: "0x1.d02d3f41a2b97p-9",
+        2 ** -4: "0x1.ee476be478eb0p-8",
+        2 ** -3: "0x1.f89be76a760cep-7",
+    }
+
+    @staticmethod
+    def _hex(rec):
+        return (rec.tol.hex(), rec.err_u.hex(), rec.err_p.hex(),
+                float(rec.mean_inner).hex())
+
+    @pytest.mark.parametrize("reference, pins", [
+        ("fine-implicit", TOY_FINE_IMPLICIT), ("analytic", TOY_ANALYTIC)])
+    def test_toy_convergence_k2(self, toy, reference, pins):
+        res = convergence_study(toy, 2, self.TAUS, tol_exponent=3.5,
+                                reference=reference)
+        assert {(r.tau, r.mode): self._hex(r) for r in res.records} == pins
+        assert {r.order for r in res.records} == {2}
+
+    def test_biot_n4_balancing_k1_t_start1(self):
+        res = balancing_study(fem2d.manufactured_system(4), 1, self.TAUS,
+                              [1.0, 2.0, 2.5], t_start=1.0)
+        assert {key: self._hex(r) for key, r in res.records.items()} \
+            == self.BIOT_BALANCING
+        assert {r.order for r in res.records.values()} == {1}
+        assert {tau: e.hex() for tau, e in res.implicit_errors.items()} \
+            == self.BIOT_IMPLICIT
 
 
 class TestDeterminism:
