@@ -88,11 +88,12 @@ class BdfScheme:
 def scheme(k: int) -> BdfScheme:
     """Build the BDF-k scheme.
 
-    The multiplier is 0 for k <= 2; for k >= 3 it is produced by the
-    closed-form search in :mod:`porosplit.stability` and cached. The
-    first scheme of an order k >= 3 pays for that search: one sampling
-    of the unit circle at 100 000 points and two evaluations of the
-    criterion on it, about 0.01-0.02 s.
+    The multiplier is 0 for k <= 2, the value the search gives, without
+    the sampling; for k >= 3 it is produced by the closed-form search in
+    :mod:`porosplit.stability` and cached. The first scheme of an order
+    k >= 3 pays for that search: one sampling of the unit circle at
+    100 000 points and two evaluations of the criterion on it, about
+    0.01-0.02 s.
     """
     k = _check_order(k)
     if k <= 2:

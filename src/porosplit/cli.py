@@ -15,6 +15,16 @@ resolves as
 
 each source overriding the ones before it.
 
+``RunConfig.validate`` checks every value before any run, so a dry run
+fails where the run would. The CLI owns four rules: a single run needs
+--tau, --s is finite and positive, --seed is >= 0, and --ks and --taus
+repeat no value. Every other value is checked by calling the library
+rule the run applies to it (the BDF order, the step grid, the split
+config, the toy and grid builders, the network), and the library's
+message is reported. A study's grid rules (a halving tau grid, a
+reference step that divides every tau, no repeated omega or gamma) are
+checked by the study before its first run, not by the dry run.
+
 Each subcommand has one runner. A runner returns ``(tables, lines)``:
 ``tables`` maps CSV file names to ``studies.StudyReport`` tables, and
 ``lines`` is its summary for stdout. A runner writes no file and prints
@@ -42,7 +52,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import fem2d, linalg, splitsolve, stability, studies, system
-from .bdf import UnsupportedOrder, scheme as make_scheme
+from .bdf import scheme as make_scheme
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,7 +62,7 @@ EXIT_IO = 5
 
 
 class ValidationError(Exception):
-    """Configuration violates an invariant (bad ranges, exclusive flags)."""
+    """Configuration breaks a CLI rule, or a library rule the run applies."""
 
 
 class UsageError(argparse.ArgumentTypeError):
@@ -221,48 +231,37 @@ class RunConfig:
     def validate(self) -> None:
         if self.subcommand in _SINGLE and self.tau is None:
             raise ValidationError("--tau is required for single runs")
-        if self.gamma is not None and self.stabilization is not None:
-            raise ValidationError("--gamma and --L are mutually exclusive")
-        for name, value in (("tol", self.tol), ("s", self.tol_exponent),
-                            ("omega", self.omega)):
-            if value is not None and not (math.isfinite(value) and value > 0.0):
-                raise ValidationError(
-                    f"{name} must be finite and positive, got {value}")
-        if not all(math.isfinite(v) and v > 0.0 for v in self.omegas):
-            raise ValidationError(
-                f"omegas must be finite and positive, got {self.omegas}")
-        if self.stabilization is not None and not (
-                math.isfinite(self.stabilization) and self.stabilization >= 0.0):
-            raise ValidationError(
-                f"L must be finite and >= 0, got {self.stabilization}")
-        if not all(0.0 < g < 1.0 for g in self.gammas):
-            raise ValidationError(f"gammas must lie in (0, 1), got {self.gammas}")
-        if self.grid_n < 2:
-            raise ValidationError(f"n must be >= 2, got {self.grid_n}")
+        s = self.tol_exponent
+        if s is not None and not (math.isfinite(s) and s > 0.0):
+            raise ValidationError(f"s must be finite and positive, got {s}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if not 1 <= self.order <= 5:
-            raise ValidationError(f"k must be in 1..5, got {self.order}")
-        for k in self.orders:
-            if not 1 <= k <= 5:
-                raise ValidationError(f"k must be in 1..5, got {k}")
-            if self.orders.count(k) > 1:
-                raise ValidationError(f"ks repeat k={k}; each order runs once")
         taus = self.taus or []
-        for tau in taus:
-            if taus.count(tau) > 1:
-                raise ValidationError(
-                    f"taus repeat tau={tau:g}; each step runs once")
-        k_max = max(self.orders if self.subcommand == "iters"
-                    else [self.order])
-        # tau and T: finite, positive, and T/tau a whole number >= k
-        for tau in ([] if self.tau is None else [self.tau]) + taus:
-            try:
-                splitsolve.step_count(tau, self.t_end, k_max)
-            except ValueError as exc:
-                raise ValidationError(str(exc)) from exc
-        if self.gamma is not None and not 0.0 < self.gamma < 1.0:
-            raise ValidationError("gamma must lie in (0, 1)")
+        for name, values, item in (("ks", self.orders, "k={}; each order"),
+                                   ("taus", taus, "tau={:g}; each step")):
+            for value in values:
+                if values.count(value) > 1:
+                    raise ValidationError(
+                        f"{name} repeat {item.format(value)} runs once")
+        orders = self.orders if self.subcommand == "iters" else [self.order]
+        single = [] if self.tau is None else [self.tau]
+        try:    # each value meets the library rule the run applies to it
+            for k in orders:
+                make_scheme(k)
+            for tau in single + taus:
+                splitsolve.step_count(tau, self.t_end, max(orders))
+            for tau in single + (taus if self.subcommand == "convergence"
+                                 else []):
+                _split_config(self, tau)
+            for gamma in self.gammas:
+                splitsolve.SplitConfig(tol=1.0, gamma_target=gamma)
+            for omega in [self.omega] + self.omegas:
+                system.make_toy(omega)
+            fem2d.Grid2D(self.grid_n)
+            if self.subcommand == "network":
+                _build_single_system(self)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
 
     def resolved_out(self) -> Path:
         if self.out_dir:
@@ -471,7 +470,7 @@ def _run_iters(cfg: RunConfig) -> _Output:
 def _run_stability(cfg: RunConfig) -> _Output:
     rows = []
     for k in range(1, 6):
-        cert = stability.certificate(k)
+        cert = stability.find_multiplier(k)
         # the identity is checked where G-matrix data exist, k <= 2
         resid = (stability.verify_identity(stability.g_stability_data(k),
                                            trials=200, dim=8, seed=cfg.seed)
@@ -507,13 +506,6 @@ def main(argv=None) -> int:
     devnull, so the flush at exit does not fail again."""
     try:
         cfg = parse_config(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_USAGE
-    except (ValidationError, UnsupportedOrder) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_VALIDATION
-    try:
         tables, lines = ({}, [cfg.summary()]) if cfg.dry_run \
             else _DISPATCH[cfg.subcommand](cfg)
         out = cfg.resolved_out()
@@ -523,15 +515,18 @@ def main(argv=None) -> int:
             print(line)
         _sys.stdout.flush()
         return EXIT_OK
+    except UsageError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
         return EXIT_OK
-    except (ValidationError, UnsupportedOrder, system.InvalidParameter,
-            ValueError) as exc:
+    except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
     except (linalg.LinalgError, splitsolve.MaxInnerExceeded,
-            splitsolve.SolverFailure, splitsolve.MissingConstants) as exc:
+            splitsolve.SolverFailure, splitsolve.MissingConstants,
+            stability.NotFound) as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -68,7 +68,8 @@ class MissingConstants(RuntimeError):
 
 
 class MaxInnerExceeded(RuntimeError):
-    """Inner iteration cap hit; the message sets L against beta."""
+    """Inner iteration cap hit; the message names a stall on round-off,
+    else sets L against beta."""
 
 
 class SolverFailure(RuntimeError):
@@ -399,15 +400,23 @@ def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
                 pressure_ratios=p_ratios,
             )
             return u_new, p_new, report
+    # eps stopped falling (its smallest value came before the last sweep)
+    # without growing past the first: the sweeps sit on round-off
+    least = min(eps_values)
+    stalled = least != eps_values[-1] and eps_values[-1] <= eps_values[0]
     ell = work.stabilization
     beta = sys.coupling_constant
     claim = ("guarantees a contraction by "
              f"{contraction_factor(ell, sys.storage_coercivity):.4g} per "
              "sweep after a step's first ratio" if ell > 0.0 and ell >= beta
              else "guarantees no contraction (that needs L >= beta, L > 0)")
+    cause = (f"eps stopped falling at {least:.3g} (sweep "
+             f"{eps_values.index(least) + 1}), so tol = {cfg.tol:g} is below "
+             "this step's round-off floor" if stalled
+             else f"L = {ell:g} with beta = {beta:g} {claim}")
     raise MaxInnerExceeded(
         f"no termination within {cfg.max_inner} inner iterations at t={t:g}; "
-        f"L = {ell:g} with beta = {beta:g} {claim}")
+        f"{cause}")
 
 
 def step_implicit(work: StepperWork, sch: BdfScheme, hist_u: History,

@@ -18,7 +18,9 @@ endpoint by O(eps/|b|) and adds a second root inside [0, 1) only where
 round-off) bound nothing and are skipped; the floor covers them. So the
 search costs one sampling of the circle and two evaluations of the
 criterion, which certify the grid point found: feasible there,
-infeasible one grid step below.
+infeasible one grid step below. It certifies every order: for the
+A-stable k = 1, 2 the lower end is 0, and one evaluation certifies
+eta = 0.
 
 For k = 1, 2 the tested-form identity
 
@@ -48,7 +50,6 @@ __all__ = [
     "g_stability_data",
     "criterion_min",
     "find_multiplier",
-    "certificate",
     "identity_residual",
     "verify_identity",
 ]
@@ -178,7 +179,7 @@ def _lower_end(zeta: np.ndarray, xi: np.ndarray) -> float:
 # typed: 3.0 == np.int64(3) hash alike, and 3.0 must reach _check_order
 @lru_cache(maxsize=None, typed=True)
 def find_multiplier(k: int) -> MultiplierCertificate:
-    """Smallest feasible multiplier on a 1e-4 grid for k = 3, 4, 5.
+    """Smallest feasible multiplier on a 1e-4 grid, for every order 1..5.
 
     On a sample zeta the criterion reads ``(a - eta*b) / |1 - eta*zeta|^2``
     with ``a = Re xi(zeta)`` and ``b = Re(xi(zeta) conj(zeta))``, so a
@@ -193,14 +194,14 @@ def find_multiplier(k: int) -> MultiplierCertificate:
     return, because the feasible set is one interval: every sample bounds
     eta from one side, and the floor term ``eps |1 - eta*zeta|^2`` moves
     an endpoint by O(eps/|b|) and adds a second root in [0, 1) only where
-    ``|b| <~ eps``, on the samples skipped as round-off.
+    ``|b| <~ eps``, on the samples skipped as round-off. For the A-stable
+    k = 1, 2 the lower end is 0, so one evaluation certifies eta = 0.
 
     Cost: one sampling of the circle, which the search holds and
-    releases when it ends, and two (at most three) criterion evaluations.
+    releases when it ends, and two (at most three) criterion evaluations;
+    one for k = 1, 2.
     """
     k = _check_order(k)
-    if k not in (3, 4, 5):
-        raise ValueError(f"multiplier search is for k in 3..5, got {k}")
     key = (k, _SEARCH_SAMPLES)
     _held_circle[key] = _sampled_circle(*key)
     try:
@@ -227,18 +228,6 @@ def find_multiplier(k: int) -> MultiplierCertificate:
         )
     finally:
         _held_circle.pop(key, None)
-
-
-def certificate(k: int) -> MultiplierCertificate:
-    """Boundary certificate for any order: trivial multiplier for k <= 2."""
-    k = _check_order(k)
-    if k <= 2:
-        return MultiplierCertificate(
-            order=k, multiplier=0.0,
-            min_real_part=criterion_min(k, 0.0),
-            sample_count=_SEARCH_SAMPLES,
-        )
-    return find_multiplier(k)
 
 
 def _gm_norm_sq(g: np.ndarray, m: np.ndarray, block: list[np.ndarray]) -> float:

@@ -190,7 +190,7 @@ class TestMain:
         assert len(text) == 6
         for k, line in enumerate(text[1:], 1):
             order, eta, min_re, resid = line.split(",")
-            cert = stability.certificate(k)
+            cert = stability.find_multiplier(k)
             assert (int(order), float(eta), float(min_re)) \
                 == (k, cert.multiplier, cert.min_real_part)
             # a plain number where the identity is checked, else empty
@@ -561,11 +561,65 @@ class TestBadNumericInput:
     def test_a_negative_seed_is_named_before_any_work(self, tmp_path,
                                                        capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(stability, "certificate", calls.append)
+        monkeypatch.setattr(stability, "find_multiplier", calls.append)
         assert main(["stability", "--seed", "-1", "--out", str(tmp_path)]) \
             == EXIT_VALIDATION
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert calls == []
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        # the dry run used to pass these, which the run rejects
+        ["network", "--tau", "2^-3", "--beta", "0,5=1"],
+        ["network", "--tau", "2^-3", "--alphas", "1,2,3"],
+        ["network", "--tau", "2^-3", "--moduli", "1,-1"],
+        ["toy", "--tau", "2^-3", "--s", "400"],     # tol = tau^s underflows
+        ["convergence", "--problem", "toy", "--s", "400"],
+        # rules the library states and the dry run now applies
+        ["toy", "--tau", "2^-3", "--gamma", "1.5"],
+        ["toy", "--tau", "2^-3", "--gamma", "0.5", "--L", "2"],
+        ["toy", "--tau", "2^-3", "--tol", "nan"],
+        ["biot2d", "--tau", "2^-3", "--n", "1"],
+        ["iters", "--gammas", "1.5"],
+        ["toy", "--tau", "2^-3", "--k", "6"],
+    ])
+    def test_dry_run_and_run_fail_alike_before_any_run(
+            self, argv, tmp_path, capsys, monkeypatch, study_runs):
+        runs = []
+        monkeypatch.setattr(splitsolve, "integrate",
+                            lambda *args, **kwargs: runs.append(args))
+        errors = []
+        for extra, name in ((["--dry-run"], "dry"), ([], "run")):
+            out_dir = tmp_path / name
+            assert main(argv + extra + ["--out", str(out_dir)]) \
+                == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+            assert not out_dir.exists()
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: ")
+        assert len(errors[0].splitlines()) == 1
+        assert runs == study_runs == []
+
+    @pytest.mark.parametrize("argv, k", [
+        (["stability"], 1),                           # the run's first order
+        (["toy", "--tau", "2^-3", "--k", "3"], 3),    # the order check
+    ])
+    def test_a_multiplier_not_found_is_a_numerical_failure(
+            self, argv, k, tmp_path, capsys, monkeypatch):
+        def not_found(k):
+            raise stability.NotFound(f"none for k={k}")
+
+        monkeypatch.setattr(stability, "find_multiplier", not_found)
+        scheme.cache_clear()    # the order check reaches the search
+        try:
+            code = main(argv + ["--out", str(tmp_path)])
+        finally:
+            scheme.cache_clear()
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert err == f"numerical failure: none for k={k}\n"
         assert not any(tmp_path.iterdir())
 
     def test_exchange_pair_given_twice_fails_before_any_run(
@@ -595,8 +649,8 @@ SAMPLES = {
     "taus": "2^-2,2^-3", "T": "2", "tol": "1e-7", "s": "3", "gamma": "0.3",
     "L": "2", "gammas": "0.2", "omega": "3", "omegas": "3", "problem": "toy",
     "reference": "analytic", "n": "8",
-    "alphas": "0.1,0.2,0.3", "moduli": "1,2,3", "mobilities": "1,2,3",
-    "beta": "0,2=1e-3", "seed": "5",
+    "alphas": "0.1,0.3", "moduli": "2,3", "mobilities": "2,3",
+    "beta": "0,1=1e-3", "seed": "5",
 }
 
 

@@ -210,6 +210,29 @@ class TestStepSplit:
                                  "contraction"):
             split_step(biot8, cfg, scheme(1), 0.125, hu, hp, 0.125)
 
+    def test_max_inner_exceeded_on_round_off_names_the_floor(self, toy):
+        # eps falls to ~1e-16 within a few sweeps, then wanders there until
+        # the cap; L = beta is not the cause
+        cfg = SplitConfig(tol=1e-300)
+        hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
+        with pytest.raises(MaxInnerExceeded) as err:
+            split_step(toy, cfg, scheme(1), 0.125, hu, hp, 0.125)
+        message = str(err.value)
+        assert re.search(r"within 200 inner iterations at t=0.125; eps "
+                         r"stopped falling at \S+e-16 \(sweep \d+\), so tol "
+                         r"= 1e-300 is below this step's round-off floor$",
+                         message), message
+
+    def test_max_inner_exceeded_on_growth_claims_no_guarantee(self, toy):
+        # L = 0: eps grows from about 1.9 to about 4e35 over 200 sweeps
+        cfg = SplitConfig(tol=1e-9, stabilization=0.0)
+        hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
+        with pytest.raises(MaxInnerExceeded,
+                           match="within 200 inner iterations at t=0.125; "
+                                 "L = 0 with beta = 1.69227 guarantees no "
+                                 "contraction"):
+            split_step(toy, cfg, scheme(1), 0.125, hu, hp, 0.125)
+
     def test_non_finite_iterate_fails_at_once(self, toy):
         bad = dataclasses.replace(toy, load_p=lambda t: np.array([math.nan]))
         cfg = SplitConfig(tol=1e-6, stabilization=4.0)

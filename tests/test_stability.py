@@ -5,7 +5,7 @@ import pytest
 
 from porosplit import stability
 from porosplit.bdf import UnsupportedOrder
-from porosplit.stability import (GStabilityData, certificate, criterion_min,
+from porosplit.stability import (GStabilityData, criterion_min,
                                  find_multiplier, g_stability_data,
                                  identity_residual, verify_identity)
 from verification import boundary_criterion_min, scanned_multiplier
@@ -68,11 +68,17 @@ class TestFindMultiplier:
         assert cert.multiplier < 1.0
         assert cert.sample_count == 100_000
 
-    def test_rejects_low_orders(self):
-        with pytest.raises(ValueError):
-            find_multiplier(2)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_a_stable_orders_are_certified_by_one_evaluation(
+            self, k, fresh_search, counted_search):
+        # the closed form's lower end is 0: eta = 0 needs no grid neighbour
+        _, calls = counted_search
+        cert = find_multiplier(k)
+        assert calls == [0.0]
+        assert cert.multiplier == 0.0
+        assert cert.min_real_part.hex() == criterion_min(k, 0.0).hex()
 
-    @pytest.mark.parametrize("search", [find_multiplier, certificate])
+    @pytest.mark.parametrize("search", [find_multiplier])
     @pytest.mark.parametrize("k", [6, 0, True, 3.0])
     def test_rejects_orders_outside_the_bdf_range(self, search, k):
         with pytest.raises(UnsupportedOrder, match="1..5"):
