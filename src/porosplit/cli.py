@@ -16,14 +16,13 @@ resolves as
 each source overriding the ones before it.
 
 ``RunConfig.validate`` checks every value before any run, so a dry run
-fails where the run would. The CLI owns four rules: a single run needs
---tau, --s is finite and positive, --seed is >= 0, and --ks and --taus
-repeat no value. Every other value is checked by calling the library
-rule the run applies to it (the BDF order, the step grid, the split
-config, the toy and grid builders, the network), and the library's
-message is reported. A study's grid rules (a halving tau grid, a
-reference step that divides every tau, no repeated omega or gamma) are
-checked by the study before its first run, not by the dry run.
+fails where the run would, with the same message. The CLI owns four
+rules: a single run needs --tau, --s is finite and positive, --seed is
+>= 0, and --ks repeats no order, as the CLI loops the orders. Every other
+value is checked by the library rule the run applies to it: a single
+run's order, step grid and split config; the plan each study calls
+first, with the study's own arguments; the toy and grid builders and the
+network.
 
 Each subcommand has one runner. A runner returns ``(tables, lines)``:
 ``tables`` maps CSV file names to ``studies.StudyReport`` tables, and
@@ -236,25 +235,16 @@ class RunConfig:
             raise ValidationError(f"s must be finite and positive, got {s}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        taus = self.taus or []
-        for name, values, item in (("ks", self.orders, "k={}; each order"),
-                                   ("taus", taus, "tau={:g}; each step")):
-            for value in values:
-                if values.count(value) > 1:
-                    raise ValidationError(
-                        f"{name} repeat {item.format(value)} runs once")
-        orders = self.orders if self.subcommand == "iters" else [self.order]
-        single = [] if self.tau is None else [self.tau]
+        for k in self.orders:
+            if self.orders.count(k) > 1:
+                raise ValidationError(f"ks repeat k={k}; each order runs once")
         try:    # each value meets the library rule the run applies to it
-            for k in orders:
-                make_scheme(k)
-            for tau in single + taus:
-                splitsolve.step_count(tau, self.t_end, max(orders))
-            for tau in single + (taus if self.subcommand == "convergence"
-                                 else []):
-                _split_config(self, tau)
-            for gamma in self.gammas:
-                splitsolve.SplitConfig(tol=1.0, gamma_target=gamma)
+            if self.subcommand in _SINGLE:
+                make_scheme(self.order)
+                splitsolve.step_count(self.tau, self.t_end, self.order)
+                _split_config(self, self.tau)
+            for args in _study_args(self):
+                _PLANS[self.subcommand](*args)
             for omega in [self.omega] + self.omegas:
                 system.make_toy(omega)
             fem2d.Grid2D(self.grid_n)
@@ -427,11 +417,27 @@ def _run_single(cfg: RunConfig) -> _Output:
     return {name: _steps_table(traj)}, lines
 
 
+_PLANS = {"convergence": studies.convergence_plan,
+          "balance": studies.balancing_plan, "iters": studies.iteration_plan}
+
+
+def _study_args(cfg: RunConfig) -> list[tuple]:
+    """The arguments of each study call of the run but the system or
+    builder; the study's plan in ``_PLANS`` takes the same."""
+    k, taus, t_end = cfg.order, cfg.taus, cfg.t_end
+    if cfg.subcommand == "convergence":
+        return [(k, taus, _tol_exponent(cfg), cfg.reference, t_end)]
+    if cfg.subcommand == "balance":
+        return [(k, taus, [k, k + 0.5, k + 1.0, k + 1.5, k + 2.0], t_end)]
+    if cfg.subcommand == "iters":
+        return [(order, cfg.omegas, cfg.gammas, taus, t_end)
+                for order in cfg.orders]
+    return []
+
+
 def _run_convergence(cfg: RunConfig) -> _Output:
-    result = studies.convergence_study(
-        _build_single_system(cfg), cfg.order, cfg.taus,
-        tol_exponent=_tol_exponent(cfg), reference=cfg.reference,
-        t_end=cfg.t_end)
+    (args,) = _study_args(cfg)
+    result = studies.convergence_study(_build_single_system(cfg), *args)
     orders = ", ".join(f"{o:.2f}" for o in result.eoc.pairwise_orders)
     return {f"convergence_{cfg.order}.csv": result.report}, [
         f"k={cfg.order}: fitted order {result.eoc.fitted_order:.3f} "
@@ -440,9 +446,9 @@ def _run_convergence(cfg: RunConfig) -> _Output:
 
 def _run_balance(cfg: RunConfig) -> _Output:
     k = cfg.order
-    result = studies.balancing_study(
-        fem2d.manufactured_system(cfg.grid_n), k, cfg.taus,
-        [k, k + 0.5, k + 1.0, k + 1.5, k + 2.0], t_end=cfg.t_end)
+    (args,) = _study_args(cfg)
+    result = studies.balancing_study(fem2d.manufactured_system(cfg.grid_n),
+                                     *args)
     flags = ", ".join(f"tau={tau:g}:{'ok' if ok else 'OFF'}"
                       for tau, ok in sorted(result.balanced_ok.items(),
                                             reverse=True))
@@ -452,9 +458,8 @@ def _run_balance(cfg: RunConfig) -> _Output:
 
 
 def _run_iters(cfg: RunConfig) -> _Output:
-    results = {k: studies.iteration_study(k, cfg.omegas, cfg.gammas, cfg.taus,
-                                          t_end=cfg.t_end)
-               for k in cfg.orders}
+    results = {args[0]: studies.iteration_study(*args)
+               for args in _study_args(cfg)}
     lines = []
     for k, result in results.items():
         lines.append(f"k={k}:")

@@ -61,10 +61,6 @@ class Grid2D:
     def node_count(self) -> int:
         return (self.n + 1) ** 2
 
-    @property
-    def triangle_count(self) -> int:
-        return 2 * self.n ** 2
-
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates of all nodes, lexicographic in (j, i) with x fastest."""
         idx = np.arange(self.n + 1)

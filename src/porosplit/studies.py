@@ -7,8 +7,11 @@ Comparing against the analytic solution instead would bury the
 high-order temporal error under the fixed spatial error of the coarse
 elements, so that comparison is offered but not the default.
 
-``_study`` decides, before a study's first run, what its runs share: it
-checks the clock start, shifts the clock with
+A study first calls its plan (:func:`convergence_plan`,
+:func:`balancing_plan`, :func:`iteration_plan`, which the CLI's dry run
+calls too): every rule that needs no system, checked before any work.
+``_study`` then decides what a study's runs share: it checks the
+evaluators, shifts the clock with
 :func:`~porosplit.system.time_shifted`, reads the solution evaluators
 once for each run's k seeds ``seeds(tau)`` and builds one lookup
 ``state_at(t) -> (u, p)`` from the fine implicit run or the analytic
@@ -28,7 +31,7 @@ import numpy as np
 
 from .bdf import scheme as make_scheme
 from .linalg import weighted_norm_sq
-from .splitsolve import SplitConfig, Trajectory, integrate
+from .splitsolve import SplitConfig, Trajectory, integrate, step_count
 from .system import CoupledSystem, make_toy, solution_evaluators, time_shifted
 
 __all__ = [
@@ -38,6 +41,9 @@ __all__ = [
     "ConvergenceResult",
     "BalancingResult",
     "IterationResult",
+    "convergence_plan",
+    "balancing_plan",
+    "iteration_plan",
     "convergence_study",
     "balancing_study",
     "iteration_study",
@@ -83,6 +89,73 @@ def _check_distinct(name: str, values) -> None:
     for a, b in zip(values, values[1:]):
         if a == b:
             raise ValueError(f"{name} repeat {a:g}, got {values}")
+
+
+def _check_clock(k: int, taus, t_end: float, t_start: float,
+                 reference: str) -> None:
+    """Check t_start, the order, each tau's step grid on [0, t_end] and
+    the reference; the fine implicit one steps by min(taus) / 8, which
+    needs a grid of its own and must divide every tau."""
+    if not (math.isfinite(t_start) and t_start >= 0.0):
+        raise ValueError(f"t_start must be finite and >= 0, got {t_start!r}")
+    make_scheme(k)
+    for tau in taus:
+        step_count(tau, t_end, k)
+    if reference not in ("fine-implicit", "analytic"):
+        raise ValueError(f"unknown reference {reference!r}")
+    if reference == "fine-implicit":
+        tau_ref = min(taus) / 8.0
+        step_count(tau_ref, t_end, k)
+        if any(abs(tau / tau_ref - round(tau / tau_ref)) > 1e-9
+               for tau in taus):
+            raise ValueError(f"reference step must divide the run step: "
+                             f"tau_ref = {tau_ref:g}, taus {taus}")
+
+
+def convergence_plan(order: int, taus, tol_exponent: float,
+                     reference: str = "fine-implicit", t_end: float = 1.0,
+                     t_start: float = 0.0, gamma_target: float = 0.4
+                     ) -> list[float]:
+    """Check the arguments of :func:`convergence_study` but the system;
+    return its taus, largest first (at least two, each half the last)."""
+    taus = sorted(taus, reverse=True)
+    _check_halving(taus)
+    _check_clock(order, taus, t_end, t_start, reference)
+    for tau in taus:
+        SplitConfig(tol=tau ** tol_exponent, gamma_target=gamma_target)
+    return taus
+
+
+def balancing_plan(order: int, taus, exponents, t_end: float = 1.0,
+                   t_start: float = 0.0, factor: float = 2.0,
+                   gamma_target: float = 0.4) -> tuple[list, list]:
+    """Check the arguments of :func:`balancing_study` but the system;
+    return its taus, largest first, and exponents, smallest first."""
+    taus, exponents = sorted(taus, reverse=True), sorted(exponents)
+    _check_distinct("taus", taus)
+    _check_distinct("exponents", exponents)
+    if not (math.isfinite(factor) and factor > 0.0):
+        raise ValueError(f"factor must be finite and > 0, got {factor!r}")
+    if order not in exponents or order + 1.5 not in exponents:
+        raise ValueError(f"exponents must include k = {order} and k + 3/2 = "
+                         f"{order + 1.5:g} exactly, got {exponents}")
+    _check_clock(order, taus, t_end, t_start, "fine-implicit")
+    for tau in taus:
+        for s in exponents:
+            SplitConfig(tol=tau ** s, gamma_target=gamma_target)
+    return taus, exponents
+
+
+def iteration_plan(order: int, omegas, gammas, taus,
+                   t_end: float = 1.0) -> None:
+    """Check the arguments of :func:`iteration_study` but the builder,
+    which checks each omega; the study runs its grids in the order given."""
+    for name, values in (("omegas", omegas), ("gammas", gammas),
+                         ("taus", taus)):
+        _check_distinct(name, sorted(values))
+    _check_clock(order, taus, t_end, 0.0, "analytic")
+    for gamma in gammas:
+        SplitConfig(tol=1.0, gamma_target=gamma)
 
 
 @dataclass
@@ -156,22 +229,11 @@ def _reference_run(sys: CoupledSystem, k: int, tau_ref: float,
 
 def _study(sys: CoupledSystem, k: int, taus, t_end: float, t_start: float,
            gamma_target: float, reference: str = "fine-implicit"):
-    """The runner ``run(tau, mode, tol) -> ErrorRecord`` of one study, each
-    run measured over its steps n >= k. Checks ``t_start``, the order, the
-    reference, the evaluators and that the fine reference step
-    min(taus) / 8 divides every tau, all before the first run."""
-    if not (math.isfinite(t_start) and t_start >= 0.0):
-        raise ValueError(f"t_start must be finite and >= 0, got {t_start!r}")
+    """The runner ``run(tau, mode, tol) -> ErrorRecord`` of a study whose
+    plan holds, each run measured over its steps n >= k."""
     sch = make_scheme(k)
-    tau_ref = min(taus) / 8.0
-    if reference not in ("fine-implicit", "analytic"):
-        raise ValueError(f"unknown reference {reference!r}")
     if reference == "analytic" and sys.exact_u is None:
         raise ValueError("analytic reference requires exact evaluators")
-    if reference == "fine-implicit" and any(
-            abs(tau / tau_ref - round(tau / tau_ref)) > 1e-9 for tau in taus):
-        raise ValueError(f"reference step must divide the run step: "
-                         f"tau_ref = {tau_ref:g}, taus {taus}")
     if t_start > 0.0:
         sys = time_shifted(sys, t_start)
     # The semidiscrete displacement solves A u = D^T p + f, so the seeds sit
@@ -188,7 +250,7 @@ def _study(sys: CoupledSystem, k: int, taus, t_end: float, t_start: float,
         def state_at(t):
             return sys.exact_u(t), sys.exact_p(t)
     else:
-        ref = _reference_run(sys, k, tau_ref, t_end, seeds)
+        ref = _reference_run(sys, k, min(taus) / 8.0, t_end, seeds)
 
         def state_at(t):
             n = round(t / ref.tau)
@@ -225,12 +287,10 @@ def convergence_study(sys: CoupledSystem, order: int, taus,
     alongside the split rows. A positive ``t_start`` measures on
     [t_start, t_start + t_end], past the initial layer that rough initial
     data excites in the stiff discrete modes (those pollute high-order
-    measurements at coarse steps). The tau grid must have at least two
-    steps, each half the one before, and ``t_start`` must be finite and
-    non-negative; both are checked before the first run.
+    measurements at coarse steps).
     """
-    taus = sorted(taus, reverse=True)
-    _check_halving(taus)
+    taus = convergence_plan(order, taus, tol_exponent, reference, t_end,
+                            t_start, gamma_target)
     k = order
     run = _study(sys, k, taus, t_end, t_start, gamma_target, reference)
     records = [run(tau, mode, tau ** tol_exponent)
@@ -266,23 +326,12 @@ def balancing_study(sys: CoupledSystem, order: int, taus, exponents,
     with tol = tau**s joins it in one record. The flag per tau marks
     whether the s = k + 3/2 run stays within ``factor`` of the baseline.
     The same split runs give the iteration averages: their mean inner
-    count per (s, tau), s-major. A tau or exponent listed twice, a
-    ``t_start`` that is negative or not finite, a ``factor`` that is not
-    finite and positive, exponents without k and k + 3/2 exactly and a
-    tau that min(taus) / 8 does not divide are rejected before the first
-    run.
+    count per (s, tau), s-major.
     """
     k = order
-    taus = sorted(taus, reverse=True)
-    exponents = sorted(exponents)
-    _check_distinct("taus", taus)
-    _check_distinct("exponents", exponents)
-    if not (math.isfinite(factor) and factor > 0.0):
-        raise ValueError(f"factor must be finite and > 0, got {factor!r}")
+    taus, exponents = balancing_plan(k, taus, exponents, t_end, t_start,
+                                     factor, gamma_target)
     balanced_s = k + 1.5
-    if k not in exponents or balanced_s not in exponents:
-        raise ValueError(f"exponents must include k = {k} and k + 3/2 = "
-                         f"{balanced_s:g} exactly, got {exponents}")
     run = _study(sys, k, taus, t_end, t_start, gamma_target)
     implicit_errors = {tau: run(tau, "implicit", 1.0).combined for tau in taus}
     records = {(tau, s): run(tau, "split", tau ** s)
@@ -343,12 +392,8 @@ def iteration_study(order: int, omegas, gammas, taus, t_end: float = 1.0,
     the counts grow by only about k + 1/2 per halving of tau at
     gamma = 1/2, and no constant factor fits the table with it. The rule
     leaves the gamma = 0.1 rows about one sweep below the table.
-
-    An omega, gamma or tau listed twice is rejected before the first run.
     """
-    for name, values in (("omegas", omegas), ("gammas", gammas),
-                         ("taus", taus)):
-        _check_distinct(name, sorted(values))
+    iteration_plan(order, omegas, gammas, taus, t_end)
     build = make_system or make_toy
     k = order
     sch = make_scheme(k)

@@ -268,7 +268,7 @@ class TestStudySubcommands:
     def test_a_repeated_tau_is_named_before_any_run(self, argv, tmp_path,
                                                     capsys, study_runs):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_VALIDATION
-        assert "taus repeat tau=0.125" in capsys.readouterr().err
+        assert "taus repeat 0.125" in capsys.readouterr().err
         assert study_runs == []
         assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
@@ -582,6 +582,19 @@ class TestBadNumericInput:
         ["biot2d", "--tau", "2^-3", "--n", "1"],
         ["iters", "--gammas", "1.5"],
         ["toy", "--tau", "2^-3", "--k", "6"],
+        # a study's grid rules, checked by the study's plan
+        ["convergence", "--problem", "toy", "--taus", "2^-3,2^-5",
+         "--k", "2"],
+        ["iters", "--ks", "1", "--omegas", "2,2"],
+        ["balance", "--k", "1", "--n", "4", "--taus", "0.3,0.25",
+         "--T", "1.5"],
+        ["convergence", "--problem", "toy", "--taus", "2^-3"],
+        ["balance", "--n", "4", "--taus", "2^-3,2^-3"],
+        ["iters", "--taus", "2^-3,2^-4,2^-3"],
+        ["iters", "--gammas", "0.5,0.5"],
+        ["iters", "--taus", "0.3"],
+        ["convergence", "--problem", "toy", "--k", "3", "--taus",
+         "2^-2,2^-3", "--T", "0.5"],
     ])
     def test_dry_run_and_run_fail_alike_before_any_run(
             self, argv, tmp_path, capsys, monkeypatch, study_runs):

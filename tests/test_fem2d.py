@@ -31,7 +31,6 @@ class TestGrid:
     def test_counts(self):
         g = Grid2D(4)
         assert g.node_count == 25
-        assert g.triangle_count == 32
         assert g.interior_count == 9
 
     @pytest.mark.parametrize("n", [2.5, 4.0, True, "4", 1, np.int64(1)])

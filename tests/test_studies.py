@@ -87,11 +87,18 @@ class TestConvergenceStudy:
             else:
                 assert rec.mean_inner >= 1.0
 
-    @pytest.mark.parametrize("taus", [[0.125], [0.125, 0.125],
-                                      [0.25, 0.0625]])
-    def test_tau_grid_checked_before_any_run(self, toy, study_runs, taus):
-        with pytest.raises(ValueError, match="taus"):
-            convergence_study(toy, 1, taus, tol_exponent=2.5)
+    @pytest.mark.parametrize("order, taus, t_start, message", [
+        (1, [0.125], 0.0, "taus"),
+        (1, [0.125, 0.125], 0.0, "taus"),
+        (1, [0.25, 0.0625], 0.0, "taus"),
+        # named by its own step, not by the reference step 0.3 / 16
+        (2, [0.3, 0.15], 1.0, "tau=0.3 does not divide T=1"),
+    ])
+    def test_tau_grid_checked_before_any_run(self, toy, study_runs, order,
+                                             taus, t_start, message):
+        with pytest.raises(ValueError, match=message):
+            convergence_study(toy, order, taus, tol_exponent=order + 1.5,
+                              t_start=t_start)
         assert study_runs == []
 
 
@@ -174,6 +181,7 @@ class TestBalancingStudy:
     @pytest.mark.parametrize("taus, exponents, message", [
         ([0.25, 0.125, 0.25], [1.0, 2.5], "taus repeat 0.25"),
         ([0.25, 0.125], [1.0, 2.5, 1.0], "exponents repeat 1"),
+        ([0.3, 0.15], [1.0, 2.5], "tau=0.3 does not divide T=1"),
     ])
     def test_repeats_rejected_before_any_run(self, toy, study_runs, taus,
                                              exponents, message):
@@ -213,6 +221,8 @@ class TestIterationStudy:
         ([2.0, 2.0], [0.5], [0.125, 0.0625], "omegas repeat 2"),
         ([2.0, 4.0], [0.5, 0.1, 0.5], [0.125], "gammas repeat 0.5"),
         ([2.0], [0.5], [0.125, 0.0625, 0.125], "taus repeat 0.125"),
+        ([2.0], [0.5], [2 ** -3, 0.3], "tau=0.3 does not divide T=1"),
+        ([2.0], [0.5, 1.5], [0.125], "gamma_target must lie in"),
     ])
     def test_repeats_rejected_before_any_run(self, study_runs, omegas,
                                              gammas, taus, message):
