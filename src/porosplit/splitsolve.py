@@ -22,6 +22,9 @@ system's coupling constant beta, the default (see
 :func:`default_stabilization`), successive functional values contract at
 least by ``sqrt(L / (2 c_c + L))`` per inner iteration.
 
+:func:`integrate` takes every step in one loop over one pair of BDF
+histories; a run without seeds starts from the initial data, and its
+first k - 1 steps are the start-up, step n < k an implicit BDF-n step.
 One :class:`StepperWork` per :func:`integrate` call decides L, G, W and
 the predicted contraction once, and factors each block on its first
 solve, so a run factors only what its steps use. A is not among them:
@@ -84,7 +87,8 @@ class SplitConfig:
     be given; with neither, L is the system's coupling constant beta. The
     config only records the request: :class:`StepperWork` turns it into L
     once per run. Start-up is not a knob: :func:`integrate` starts from
-    the seeds it is given, else from an implicit bootstrap.
+    the seeds it is given, else its first k - 1 steps are implicit steps
+    of orders 1..k-1.
     """
 
     tol: float
@@ -421,8 +425,9 @@ def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
 
 def step_implicit(work: StepperWork, sch: BdfScheme, hist_u: History,
                   hist_p: History, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """One monolithic implicit BDF step of scheme ``sch``, which is
-    ``work.scheme`` in the main loop and a lower order in the bootstrap."""
+    """One monolithic implicit BDF step of scheme ``sch``: ``work.scheme``
+    from step k on, BDF-n at a start-up step n < k. A BDF-n step reads the
+    n newest entries of the histories."""
     sys, tau = work.sys, work.tau
     su, sp = history_sum(sch, hist_u), history_sum(sch, hist_p)
     rhs = np.concatenate([
@@ -448,31 +453,6 @@ def _seeds(states, field: str, dim: int) -> list[np.ndarray]:
             raise ValueError(f"initial history {field} seed {index} has "
                              "non-finite entries")
     return seeds
-
-
-def _startup_states(work: StepperWork, initial_history
-                    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """States at t = 0..(k-1) tau seeding the multistep history: the
-    given seeds, else implicit steps of increasing order from the initial
-    data (the bootstrap).
-
-    Given seeds must have the field's shape (:class:`linalg.DimensionMismatch`
-    otherwise) and finite entries (``ValueError`` otherwise).
-    """
-    sys, tau, k = work.sys, work.tau, work.scheme.order
-    if initial_history is not None:
-        us, ps = initial_history
-        if len(us) != k or len(ps) != k:
-            raise ValueError(f"initial history must provide {k} states")
-        return (_seeds(us, "displacement", sys.dim_u),
-                _seeds(ps, "pressure", sys.dim_p))
-    us, ps = [sys.u0.copy()], [sys.p0.copy()]
-    for n in range(1, k):
-        u, p = step_implicit(work, make_scheme(n), History(n, us[-n:]),
-                             History(n, ps[-n:]), n * tau)
-        us.append(u)
-        ps.append(p)
-    return us, ps
 
 
 def step_count(tau: float, t_end: float, k: int) -> int:
@@ -501,27 +481,37 @@ def integrate(sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
               initial_history=None) -> Trajectory:
     """Run the stepper over [0, t_end] with constant step tau.
 
+    One loop takes every step over one pair of histories of capacity k.
+    A run given ``initial_history`` (k displacement and k pressure seeds,
+    each of its field's length and finite, checked before the first step)
+    starts at step k. A run without one starts from the initial data at
+    step 1, and its steps n < k are the start-up: implicit BDF-n steps.
     ``mode`` selects the split or the monolithic implicit stepper for the
-    main loop. The start-up states of a k-step scheme come from
-    ``initial_history`` when given (k displacement and k pressure seeds,
-    each of its field's length and finite, checked before the first step),
-    otherwise from implicit steps of orders 1..k-1 (the bootstrap). The
-    run's one :class:`StepperWork` resolves L, the termination weights and
-    the prediction factor before the first step, and factors each block on
-    its first solve; the trajectory records the L used. The step grid is
-    checked first, by :func:`step_count`.
+    steps n >= k. The run's one :class:`StepperWork` resolves L, the
+    termination weights and the prediction factor before the first step,
+    and factors each block on its first solve; the trajectory records the
+    L used. The step grid is checked first, by :func:`step_count`.
     """
     k = sch.order
     n_steps = step_count(tau, t_end, k)
     work = StepperWork(sys, cfg, sch, tau, mode)
-    us, ps = _startup_states(work, initial_history)
-    hist_u = History(k, us)
-    hist_p = History(k, ps)
+    if initial_history is None:
+        us, ps = [sys.u0.copy()], [sys.p0.copy()]
+    else:
+        us, ps = initial_history
+        if len(us) != k or len(ps) != k:
+            raise ValueError(f"initial history must provide {k} states")
+        us = _seeds(us, "displacement", sys.dim_u)
+        ps = _seeds(ps, "pressure", sys.dim_p)
+    hist_u, hist_p = History(k, us), History(k, ps)
     reports: list[StepReport] = []
 
-    for n in range(k, n_steps + 1):
+    for n in range(len(us), n_steps + 1):
         t = n * tau
-        if mode == "split":
+        if n < k:
+            # start-up: the n states so far fill BDF-n's history
+            u, p = step_implicit(work, make_scheme(n), hist_u, hist_p, t)
+        elif mode == "split":
             u, p, report = step_split(work, hist_u, hist_p, t)
             report.index = n
             reports.append(report)

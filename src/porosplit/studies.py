@@ -85,7 +85,10 @@ def _check_halving(taus) -> None:
 
 
 def _check_distinct(name: str, values) -> None:
-    """Reject a sorted grid that lists a value twice: its runs would repeat."""
+    """Reject a sorted grid that is empty or lists a value twice: it would
+    give no runs, or runs that repeat."""
+    if not values:
+        raise ValueError(f"{name} must not be empty")
     for a, b in zip(values, values[1:]):
         if a == b:
             raise ValueError(f"{name} repeat {a:g}, got {values}")
@@ -148,8 +151,9 @@ def balancing_plan(order: int, taus, exponents, t_end: float = 1.0,
 
 def iteration_plan(order: int, omegas, gammas, taus,
                    t_end: float = 1.0) -> None:
-    """Check the arguments of :func:`iteration_study` but the builder,
-    which checks each omega; the study runs its grids in the order given."""
+    """Check the arguments of :func:`iteration_study` but the omegas, which
+    the study's builder checks for every omega before the first run; the
+    study runs its grids in the order given."""
     for name, values in (("omegas", omegas), ("gammas", gammas),
                          ("taus", taus)):
         _check_distinct(name, sorted(values))
@@ -405,9 +409,9 @@ def iteration_study(order: int, omegas, gammas, taus, t_end: float = 1.0,
             traj, sys, lambda t: (sys.exact_u(t), sys.exact_p(t)), start=k)
         return (err_u + err_p) * tau ** 2.9
 
+    systems = [build(omega) for omega in omegas]
     cells = {}
-    for omega in omegas:
-        sys = build(omega)
+    for omega, sys in zip(omegas, systems):
         for tau in taus:
             tol = tol_for(sys, tau)
             for gamma in gammas:

@@ -420,16 +420,21 @@ class TestStepCount:
         # reports exist only for the multistep main phase
         assert [r.index for r in traj.reports][0] == 3
 
-    def test_bootstrap_startup_uses_increasing_orders(self, toy):
-        sch = scheme(2)
+    @pytest.mark.parametrize("mode", ["split", "implicit"])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_bootstrap_startup_uses_increasing_orders(self, toy, k, mode):
         cfg = SplitConfig(tol=1e-9, gamma_target=0.5)
         tau = 0.125
-        traj = integrate(toy, cfg, sch, tau, 1.0, mode="split")
-        # first step must be the implicit BDF-1 step from the initial data
-        hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
-        u1, p1 = implicit_step(toy, scheme(1), tau, hu, hp, tau)
-        np.testing.assert_allclose(traj.us[1], u1, rtol=1e-13)
-        np.testing.assert_allclose(traj.ps[1], p1, rtol=1e-13)
+        traj = integrate(toy, cfg, scheme(k), tau, 1.0, mode=mode)
+        # step n < k is the implicit BDF-n step from the n states before it
+        us, ps = [toy.u0], [toy.p0]
+        for n in range(1, k):
+            u, p = implicit_step(toy, scheme(n), tau, History(n, us[-n:]),
+                                 History(n, ps[-n:]), n * tau)
+            np.testing.assert_array_equal(traj.us[n], u)
+            np.testing.assert_array_equal(traj.ps[n], p)
+            us.append(u)
+            ps.append(p)
 
     def test_wrong_length_seed_is_named(self, toy):
         seeds = ([toy.u0, toy.u0[:2]], [toy.p0, toy.p0])

@@ -182,6 +182,8 @@ class TestBalancingStudy:
         ([0.25, 0.125, 0.25], [1.0, 2.5], "taus repeat 0.25"),
         ([0.25, 0.125], [1.0, 2.5, 1.0], "exponents repeat 1"),
         ([0.3, 0.15], [1.0, 2.5], "tau=0.3 does not divide T=1"),
+        ([], [1.0, 2.5], "taus must not be empty"),
+        ([0.25, 0.125], [], "exponents must not be empty"),
     ])
     def test_repeats_rejected_before_any_run(self, toy, study_runs, taus,
                                              exponents, message):
@@ -223,6 +225,11 @@ class TestIterationStudy:
         ([2.0], [0.5], [0.125, 0.0625, 0.125], "taus repeat 0.125"),
         ([2.0], [0.5], [2 ** -3, 0.3], "tau=0.3 does not divide T=1"),
         ([2.0], [0.5, 1.5], [0.125], "gamma_target must lie in"),
+        ([2.0, -1.0], [0.5], [0.125],
+         "omega must be finite and positive, got -1.0"),
+        ([], [0.5], [0.125], "omegas must not be empty"),
+        ([2.0], [], [0.125], "gammas must not be empty"),
+        ([2.0], [0.5], [], "taus must not be empty"),
     ])
     def test_repeats_rejected_before_any_run(self, study_runs, omegas,
                                              gammas, taus, message):
