@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DimensionMismatch
+from .linalg import DimensionMismatch, _integer
 
 __all__ = [
     "UnsupportedOrder",
@@ -40,10 +40,7 @@ class IncompleteHistory(RuntimeError):
 
 
 def _check_order(k: int) -> int:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) \
-            or not 1 <= k <= MAX_ORDER:
-        raise UnsupportedOrder(f"BDF order must be an integer in 1..{MAX_ORDER}, got {k!r}")
-    return int(k)
+    return _integer("BDF order", k, 1, MAX_ORDER, UnsupportedOrder)
 
 
 # typed caches: True == 1 == np.int64(1) hash alike, and a bool order
@@ -109,9 +106,7 @@ class History:
     """Ring of the most recent accepted state vectors, newest first."""
 
     def __init__(self, capacity: int, values=None):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
+        self.capacity = _integer("capacity", capacity, 1)
         self._items: list[np.ndarray] = []
         if values is not None:
             for v in values:

@@ -230,15 +230,14 @@ class RunConfig:
     def validate(self) -> None:
         if self.subcommand in _SINGLE and self.tau is None:
             raise ValidationError("--tau is required for single runs")
-        s = self.tol_exponent
-        if s is not None and not (math.isfinite(s) and s > 0.0):
-            raise ValidationError(f"s must be finite and positive, got {s}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         for k in self.orders:
             if self.orders.count(k) > 1:
                 raise ValidationError(f"ks repeat k={k}; each order runs once")
         try:    # each value meets the library rule the run applies to it
+            if self.tol_exponent is not None:
+                linalg._real("s", self.tol_exponent)
             if self.subcommand in _SINGLE:
                 make_scheme(self.order)
                 splitsolve.step_count(self.tau, self.t_end, self.order)

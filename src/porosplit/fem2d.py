@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse
 
-from .linalg import factorize
+from .linalg import _integer, _real, factorize
 from .system import CoupledSystem, InvalidParameter, semidiscrete_solution
 
 __all__ = [
@@ -48,10 +48,7 @@ class Grid2D:
     n: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) \
-                or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2 cells per side, "
-                             f"got {self.n!r}")
+        _integer("n", self.n, 2)
 
     @property
     def h(self) -> float:
@@ -108,10 +105,7 @@ class BiotParameters:
 
     def __post_init__(self):
         for name in ("lam", "mu", "kappa_over_nu", "inv_m", "alpha"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, "
-                                 f"got {value!r}")
+            _real(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -338,7 +332,8 @@ def assemble_biot(grid: Grid2D, params: BiotParameters,
                     loads @ solution.g(t, xm, ym))
 
         f0, g0 = integrated(0.0)
-        decay_time = solution.decay_time
+        decay_time = _real("decay_time", solution.decay_time,
+                           error=InvalidParameter)
         decay = math.exp(-_LOAD_PROBE / decay_time)
         for name, direct, base in zip("fg", integrated(_LOAD_PROBE), (f0, g0)):
             if not np.allclose(decay * base, direct, rtol=0.0,

@@ -25,6 +25,8 @@ pivoting on the diagonal is stable here.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 
 import numpy as np
@@ -58,6 +60,34 @@ class SingularMatrix(LinalgError):
 
 class DimensionMismatch(LinalgError):
     """Operand shapes are incompatible."""
+
+
+def _integer(name: str, value, least: int, most: int | None = None,
+             error=ValueError) -> int:
+    """``value`` as an int if it is an integer (numpy's too) in
+    ``least..most``, else ``error`` naming ``name`` and the value. The one
+    integer rule of the library: a bool, a float or a string is no count,
+    order or size, even when it holds one."""
+    if isinstance(value, (bool, np.bool_)) \
+            or not isinstance(value, numbers.Integral) or value < least \
+            or (most is not None and value > most):
+        bounds = f">= {least}" if most is None else f"in {least}..{most}"
+        raise error(f"{name} must be an integer {bounds}, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value, zero_ok: bool = False, error=ValueError) -> float:
+    """``value`` as a float if it is a finite real number (numpy's too)
+    > 0, or >= 0 with ``zero_ok``, else ``error`` naming ``name`` and the
+    value. The one real rule of the library: a bool or a string is no real
+    number, and NaN fails the range test it would pass as ``not x <= 0``."""
+    if isinstance(value, (bool, np.bool_)) \
+            or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
+        raise error(f"{name} must be finite and "
+                    f"{'>= 0' if zero_ok else 'positive'}, got {value!r}")
+    return float(value)
 
 
 def as_vector(x) -> np.ndarray:

@@ -34,7 +34,6 @@ the displacement solves use the system's ``elasticity_factor``.
 from __future__ import annotations
 
 import math
-import numbers
 import statistics
 from dataclasses import dataclass
 from typing import Optional
@@ -44,7 +43,7 @@ import scipy.sparse
 
 from . import linalg
 from .bdf import BdfScheme, History, history_sum, scheme as make_scheme
-from .linalg import factorize, weighted_norm_sq
+from .linalg import _integer, _real, factorize, weighted_norm_sq
 from .system import CoupledSystem
 
 __all__ = [
@@ -88,7 +87,10 @@ class SplitConfig:
     config only records the request: :class:`StepperWork` turns it into L
     once per run. Start-up is not a knob: :func:`integrate` starts from
     the seeds it is given, else its first k - 1 steps are implicit steps
-    of orders 1..k-1.
+    of orders 1..k-1. Each knob must pass the number rules (no bool or
+    string), else ``ValueError`` naming it: ``tol`` a finite real > 0,
+    ``stabilization`` one >= 0, ``gamma_target`` one in (0, 1), ``max_inner``
+    an int >= 1.
     """
 
     tol: float
@@ -97,26 +99,14 @@ class SplitConfig:
     max_inner: int = 200
 
     def __post_init__(self):
-        # a bool is a number to Python, but none of these knobs takes one
-        real = (numbers.Real, "a real number")
-        for name, (kind, noun) in (
-                ("tol", real), ("stabilization", real), ("gamma_target", real),
-                ("max_inner", (numbers.Integral, "an integer"))):
-            value = getattr(self, name)
-            if value is None and name in ("stabilization", "gamma_target"):
-                continue
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} must be {noun}, got {value!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if self.max_inner < 1:
-            raise ValueError("max_inner must be >= 1")
-        if self.stabilization is not None and not (
-                math.isfinite(self.stabilization) and self.stabilization >= 0.0):
-            raise ValueError("stabilization must be finite and >= 0, got "
-                             f"{self.stabilization}")
-        if self.gamma_target is not None and not 0.0 < self.gamma_target < 1.0:
-            raise ValueError("gamma_target must lie in (0, 1)")
+        _real("tol", self.tol)
+        _integer("max_inner", self.max_inner, 1)
+        if self.stabilization is not None:
+            _real("stabilization", self.stabilization, zero_ok=True)
+        if self.gamma_target is not None \
+                and _real("gamma_target", self.gamma_target) >= 1.0:
+            raise ValueError("gamma_target must lie in (0, 1), got "
+                             f"{self.gamma_target!r}")
         if self.stabilization is not None and self.gamma_target is not None:
             raise ValueError("give either stabilization or gamma_target, not both")
 
@@ -131,7 +121,6 @@ class StepReport:
     inner_iterations: int
     terminal_value: float
     eps_values: list[float]
-    ratios: list[float]
     predicted: Optional[int]
     pressure_ratios: Optional[list[float]] = None
 
@@ -140,8 +129,14 @@ class StepReport:
         return self.eps_values[0]
 
     @property
+    def ratios(self) -> list[float]:
+        """eps_i / eps_{i-1} per sweep after the first; 0 after eps = 0."""
+        eps = self.eps_values
+        return [b / a if a > 0.0 else 0.0 for a, b in zip(eps, eps[1:])]
+
+    @property
     def ratio_median(self) -> float:
-        return statistics.median(self.ratios) if self.ratios else math.nan
+        return statistics.median(self.ratios or [math.nan])
 
 
 @dataclass
@@ -190,9 +185,9 @@ def default_stabilization(sys: CoupledSystem) -> float:
 
 def contraction_factor(stabilization: float, storage_coercivity: float) -> float:
     """Guaranteed inner contraction ``sqrt(L / (2 c_c + L))``."""
-    if stabilization <= 0.0 or storage_coercivity <= 0.0:
-        raise ValueError("stabilization and storage coercivity must be positive")
-    return math.sqrt(stabilization / (2.0 * storage_coercivity + stabilization))
+    ell = _real("stabilization", stabilization)
+    c_c = _real("storage coercivity", storage_coercivity)
+    return math.sqrt(ell / (2.0 * c_c + ell))
 
 
 def predict_iterations(tol: float, eps1: float, gamma: float) -> int:
@@ -366,7 +361,6 @@ def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
     z_prev = np.concatenate((hist_u.newest(), hist_p.newest()))
 
     eps_values: list[float] = []
-    ratios: list[float] = []
     p_ratios: list[float] = [] if scalar_p else None
     dp_prev = None
     tol_sq = cfg.tol ** 2
@@ -385,9 +379,6 @@ def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
                 f"termination functional is {value} at t={t:g}, inner "
                 f"iteration {i}; the iterates are no longer finite")
         eps = math.sqrt(value)
-        if eps_values:
-            prev = eps_values[-1]
-            ratios.append(eps / prev if prev > 0.0 else 0.0)
         if scalar_p:
             dp = float(dz[dim_u])
             if dp_prev is not None:
@@ -400,7 +391,7 @@ def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
                 cfg.tol, max(eps_values[0], 1e-300), work.gamma)
             report = StepReport(
                 index=-1, time=t, inner_iterations=i, terminal_value=value,
-                eps_values=eps_values, ratios=ratios, predicted=predicted,
+                eps_values=eps_values, predicted=predicted,
                 pressure_ratios=p_ratios,
             )
             return u_new, p_new, report
@@ -458,12 +449,12 @@ def _seeds(states, field: str, dim: int) -> list[np.ndarray]:
 def step_count(tau: float, t_end: float, k: int) -> int:
     """The number of steps tau takes over [0, t_end] with BDF-k.
 
-    ``ValueError`` unless tau and t_end are finite and positive, tau
-    divides t_end (to 1e-9 in T/tau) and T/tau >= k.
+    ``ValueError`` unless tau and t_end are finite positive real numbers
+    (by the library's number rule: no bool, no string), tau divides
+    t_end (to 1e-9 in T/tau) and T/tau >= k.
     """
-    for name, value in (("tau", tau), ("T", t_end)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    _real("tau", tau)
+    _real("T", t_end)
     steps = t_end / tau
     if not math.isfinite(steps):
         raise ValueError(f"tau={tau:g} gives T/tau = {steps} on T={t_end:g}")

@@ -42,6 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bdf import coefficients, _check_order
+from .linalg import _integer, _real
 
 __all__ = [
     "NotFound",
@@ -89,8 +90,7 @@ class GStabilityData:
     multiplier: float
 
     def __post_init__(self):
-        if self.order not in (1, 2):
-            raise ValueError("explicit G data is only available for k = 1, 2")
+        _integer("order of explicit G data", self.order, 1, 2)
         g = np.asarray(self.g_matrix, dtype=float)
         if g.shape != (self.order, self.order):
             raise ValueError(f"G must be {self.order}x{self.order}")
@@ -101,21 +101,14 @@ class GStabilityData:
 
 
 def g_stability_data(k: int) -> GStabilityData:
+    """The explicit G data of BDF-1 or BDF-2, whose multiplier is 0."""
+    k = _integer("order of explicit G data", k, 1, 2)
     if k == 1:
-        return GStabilityData(
-            order=1,
-            g_matrix=np.array([[0.5]]),
-            gamma_vec=np.array([1.0, -1.0]) / np.sqrt(2.0),
-            multiplier=0.0,
-        )
-    if k == 2:
-        return GStabilityData(
-            order=2,
-            g_matrix=np.array([[1.25, -0.5], [-0.5, 0.25]]),
-            gamma_vec=np.array([0.5, -1.0, 0.5]),
-            multiplier=0.0,
-        )
-    raise ValueError("explicit G data is only available for k = 1, 2")
+        g, gamma = [[0.5]], np.array([1.0, -1.0]) / np.sqrt(2.0)
+    else:
+        g, gamma = [[1.25, -0.5], [-0.5, 0.25]], [0.5, -1.0, 0.5]
+    return GStabilityData(order=k, g_matrix=np.array(g),
+                          gamma_vec=np.array(gamma), multiplier=0.0)
 
 
 # (k, samples) -> (zeta, xi(zeta)), held only while find_multiplier runs;
@@ -139,21 +132,12 @@ def _sampled_circle(k: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
     return zeta, xi
 
 
-def _check_count(name: str, value, least: int) -> int:
-    """An integer count of at least ``least``; booleans are not counts."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"need at least {least} {name}, got {value}")
-    return int(value)
-
-
 def criterion_min(k: int, eta: float, samples: int = _SEARCH_SAMPLES) -> float:
     """Minimum of ``Re(xi(zeta)/(1 - eta*zeta))`` over the sampled unit circle."""
     _check_order(k)
-    if isinstance(eta, (bool, np.bool_)) or not 0.0 <= eta < 1.0:
+    if _real("eta", eta, zero_ok=True) >= 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta!r}")
-    samples = _check_count("samples", samples, 1000)
+    samples = _integer("samples", samples, 1000)
     zeta, xi = _sampled_circle(k, samples)
     # one temporary (1.6 MB at 100 000 samples), divided into in place
     q = zeta * -eta
@@ -273,8 +257,8 @@ def _random_spd(rng: np.random.Generator, dim: int) -> np.ndarray:
 def verify_identity(data: GStabilityData, trials: int, dim: int,
                     tau: float = 1.0, seed: int = 0) -> float:
     """Maximum relative residual of the identity over randomized trials."""
-    trials = _check_count("trials", trials, 100)
-    dim = _check_count("dim", dim, 1)
+    trials = _integer("trials", trials, 100)
+    dim = _integer("dim", dim, 1)
     worst = 0.0
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))

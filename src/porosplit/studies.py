@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bdf import scheme as make_scheme
-from .linalg import weighted_norm_sq
+from .linalg import _real, weighted_norm_sq
 from .splitsolve import SplitConfig, Trajectory, integrate, step_count
 from .system import CoupledSystem, make_toy, solution_evaluators, time_shifted
 
@@ -94,13 +94,17 @@ def _check_distinct(name: str, values) -> None:
             raise ValueError(f"{name} repeat {a:g}, got {values}")
 
 
+def _sorted_taus(taus) -> list:
+    """Taus largest first, each checked by the real rule as it is sorted."""
+    return sorted(taus, key=lambda tau: _real("tau", tau), reverse=True)
+
+
 def _check_clock(k: int, taus, t_end: float, t_start: float,
                  reference: str) -> None:
     """Check t_start, the order, each tau's step grid on [0, t_end] and
     the reference; the fine implicit one steps by min(taus) / 8, which
     needs a grid of its own and must divide every tau."""
-    if not (math.isfinite(t_start) and t_start >= 0.0):
-        raise ValueError(f"t_start must be finite and >= 0, got {t_start!r}")
+    _real("t_start", t_start, zero_ok=True)
     make_scheme(k)
     for tau in taus:
         step_count(tau, t_end, k)
@@ -121,7 +125,7 @@ def convergence_plan(order: int, taus, tol_exponent: float,
                      ) -> list[float]:
     """Check the arguments of :func:`convergence_study` but the system;
     return its taus, largest first (at least two, each half the last)."""
-    taus = sorted(taus, reverse=True)
+    taus = _sorted_taus(taus)
     _check_halving(taus)
     _check_clock(order, taus, t_end, t_start, reference)
     for tau in taus:
@@ -134,11 +138,10 @@ def balancing_plan(order: int, taus, exponents, t_end: float = 1.0,
                    gamma_target: float = 0.4) -> tuple[list, list]:
     """Check the arguments of :func:`balancing_study` but the system;
     return its taus, largest first, and exponents, smallest first."""
-    taus, exponents = sorted(taus, reverse=True), sorted(exponents)
+    taus, exponents = _sorted_taus(taus), sorted(exponents)
     _check_distinct("taus", taus)
     _check_distinct("exponents", exponents)
-    if not (math.isfinite(factor) and factor > 0.0):
-        raise ValueError(f"factor must be finite and > 0, got {factor!r}")
+    _real("factor", factor)
     if order not in exponents or order + 1.5 not in exponents:
         raise ValueError(f"exponents must include k = {order} and k + 3/2 = "
                          f"{order + 1.5:g} exactly, got {exponents}")

@@ -29,7 +29,8 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .linalg import DimensionMismatch, Factor, as_array, factorize
+from .linalg import (DimensionMismatch, Factor, _integer, _real, as_array,
+                     factorize)
 
 __all__ = [
     "InvalidParameter",
@@ -154,7 +155,7 @@ def semidiscrete_solution(sys: CoupledSystem, shape: tuple[str, float]):
             raise InvalidParameter(f"sources do not match the declared {kind} shape: {what}")
 
     if kind == "sin":
-        freq = float(par)
+        freq = _real("sin frequency", par, error=InvalidParameter)
         f0 = sys.load_u(0.0)
         for t_probe in (0.37, 1.13):
             _check(sys.load_u(t_probe), f0, f0, 1e-12,
@@ -165,7 +166,7 @@ def semidiscrete_solution(sys: CoupledSystem, shape: tuple[str, float]):
                1e-10, "g must be sinusoidal")
 
     elif kind == "exp":
-        rate = float(par)
+        rate = _real("exp rate", par, zero_ok=True, error=InvalidParameter)
         f0 = sys.load_u(0.0)
         g0 = sys.load_p(0.0)
         for t_probe in (0.37, 1.13):
@@ -235,10 +236,11 @@ def time_shifted(sys: CoupledSystem, t0: float) -> CoupledSystem:
     """View of the system with the clock started at ``t0``.
 
     Loads and solution evaluators are shifted and the initial data taken
-    from the (semi-)exact solution at ``t0``. Used by temporal studies to
-    measure orders past the initial layer that rough initial data excites
-    in the stiff modes of the discretized system.
+    from the (semi-)exact solution at ``t0`` (finite, >= 0). Used by
+    temporal studies to measure orders past the initial layer that rough
+    initial data excites in the stiff modes of the discretized system.
     """
+    _real("t0", t0, zero_ok=True, error=InvalidParameter)
     u_eval, p_eval = solution_evaluators(sys, "time shift")
 
     def shift(fn):
@@ -272,8 +274,7 @@ def make_toy(omega: float) -> CoupledSystem:
     exchange. The toy row [2/3, 1/3, 2/3] has norm 1, so the constructed
     coupling strength equals ``omega`` exactly.
     """
-    if not (math.isfinite(omega) and omega > 0.0):
-        raise InvalidParameter(f"omega must be finite and positive, got {omega}")
+    _real("omega", omega, error=InvalidParameter)
     one = np.ones(1)
     return _toy_family(math.sqrt(omega) * one, one, one, np.zeros((1, 1)),
                        f"toy(omega={omega:g})")
@@ -295,36 +296,33 @@ def make_network_toy(count: int, alphas, storage_moduli, mobilities,
     exchange block has zero row sums, so constant pressures see no
     exchange and beta = 0 decouples the networks completely. Sources: f
     the constant one-vector, g_i(t) = 100 sin(t); zero initial pressure
-    with consistent initial displacement.
+    with consistent initial displacement. Bad numbers raise InvalidParameter.
     """
-    if count < 2:
-        raise InvalidParameter("network toy needs at least two networks")
-    alphas = np.asarray(alphas, dtype=float)
-    moduli = np.asarray(storage_moduli, dtype=float)
-    mob = np.asarray(mobilities, dtype=float)
-    if not (alphas.shape == moduli.shape == mob.shape == (count,)):
-        raise InvalidParameter("need one alpha/modulus/mobility per network")
-    for name, values in (("alphas", alphas), ("storage moduli", moduli),
-                         ("mobilities", mob)):
-        if not np.all(np.isfinite(values) & (values > 0)):
-            raise InvalidParameter(
-                f"{name} must be finite and positive, got {values.tolist()}")
+    count = _integer("network count", count, 2, error=InvalidParameter)
+    params = []
+    for name, values in (("alphas", alphas), ("storage moduli", storage_moduli),
+                         ("mobilities", mobilities)):
+        # each entry is checked as given: a float array would hold True as 1.0
+        if np.shape(values) != (count,):
+            raise InvalidParameter("need one alpha/modulus/mobility per network")
+        params.append(np.array([_real(f"{name}[{i}]", v, error=InvalidParameter)
+                                for i, v in enumerate(values)]))
+    alphas, moduli, mob = params
 
     rates = np.zeros((count, count))
     given = set()
-    for (i, j), rate in (exchange.items() if isinstance(exchange, Mapping)
-                         else exchange):
-        if i == j or not (0 <= i < count and 0 <= j < count):
-            raise InvalidParameter(f"bad exchange pair {(i, j)}")
-        pair = frozenset((i, j))
-        if pair in given:
-            raise InvalidParameter(f"exchange pair {(i, j)} given twice")
-        given.add(pair)
-        if not (math.isfinite(rate) and rate >= 0):
-            raise InvalidParameter(f"exchange rate of pair {(i, j)} must "
-                                   f"be finite and nonnegative, got {rate}")
-        rates[i, j] = rate
-        rates[j, i] = rate
+    for pair, rate in (exchange.items() if isinstance(exchange, Mapping)
+                       else exchange):
+        i, j = (_integer(f"index of exchange pair {pair}", index, 0, count - 1,
+                         InvalidParameter) for index in pair)
+        if i == j:
+            raise InvalidParameter(f"bad exchange pair {pair}")
+        key = frozenset((i, j))
+        if key in given:
+            raise InvalidParameter(f"exchange pair {pair} given twice")
+        given.add(key)
+        rates[i, j] = rates[j, i] = _real(f"exchange rate of pair {pair}", rate,
+                                          zero_ok=True, error=InvalidParameter)
     return _toy_family(alphas, moduli, mob, np.diag(rates.sum(axis=1)) - rates,
                        f"network-toy(J={count})")
 

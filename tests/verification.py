@@ -278,10 +278,8 @@ def reference_step_split(work: StepperWork, hist_u: History, hist_p: History,
         eps_values.append(math.sqrt(value))
         u_prev, p_prev = u_new, p_new
         if value <= cfg.tol ** 2:
-            ratios = [b / a if a > 0.0 else 0.0
-                      for a, b in zip(eps_values, eps_values[1:])]
             return u_new, p_new, StepReport(
                 index=-1, time=t, inner_iterations=i, terminal_value=value,
-                eps_values=eps_values, ratios=ratios, predicted=None)
+                eps_values=eps_values, predicted=None)
     raise RuntimeError(f"no termination within {cfg.max_inner} inner "
                        f"iterations at t={t:g}")
