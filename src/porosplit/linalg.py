@@ -81,12 +81,26 @@ def _real(name: str, value, zero_ok: bool = False, error=ValueError) -> float:
     > 0, or >= 0 with ``zero_ok``, else ``error`` naming ``name`` and the
     value. The one real rule of the library: a bool or a string is no real
     number, and NaN fails the range test it would pass as ``not x <= 0``."""
-    if isinstance(value, (bool, np.bool_)) \
-            or not isinstance(value, numbers.Real):
+    requirement = "finite and >= 0" if zero_ok else "finite and positive"
+    number = _signed_real(name, value, error, requirement)
+    if number < 0 or (number == 0 and not zero_ok):
+        raise error(f"{name} must be {requirement}, got {value!r}")
+    return number
+
+
+def _signed_real(name: str, value, error=ValueError,
+                 requirement: str = "finite") -> float:
+    """``value`` as a float if it is a finite real number (numpy's too) of
+    either sign, else ``error`` naming ``name`` and the value: the real
+    rule without its range, for an exponent. A non-finite value's message
+    says the value must be ``requirement``."""
+    # a plain float is a real and no bool: it skips the numbers.Real ABC
+    # test, the slow part of the rule (three calls per split step)
+    if type(value) is not float and (isinstance(value, (bool, np.bool_))
+                                     or not isinstance(value, numbers.Real)):
         raise error(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
-        raise error(f"{name} must be finite and "
-                    f"{'>= 0' if zero_ok else 'positive'}, got {value!r}")
+    if not math.isfinite(value):
+        raise error(f"{name} must be {requirement}, got {value!r}")
     return float(value)
 
 

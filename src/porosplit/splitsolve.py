@@ -16,7 +16,9 @@ loop terminates when the weighted increment functional
     W = blockdiag((c_a/2) N_u, (c_c + L/2) M_H + (tau/xi0) c_b N_Q),
 
 drops below tol^2. A sweep is two solves, three operator products
-(G z, D^T p, W dz) and one quadratic form. The monolithic reference
+(G z, D^T p, W dz) and one quadratic form; it appends its eps = |dz|_W
+and, on a scalar pressure, its dp to the step's record, which keeps them
+as float64 arrays and derives the ratios. The monolithic reference
 solves the coupled block system in one shot. With L at or above the
 system's coupling constant beta, the default (see
 :func:`default_stabilization`), successive functional values contract at
@@ -111,28 +113,52 @@ class SplitConfig:
             raise ValueError("give either stabilization or gamma_target, not both")
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class StepReport:
     """Per-step record of the inner fixed-stress iteration; ``predicted``
-    is None when no contraction factor is known (L = 0, no gamma target)."""
+    is None when no contraction factor is known (L = 0, no gamma target).
+
+    ``eps_values`` holds each sweep's eps = |dz|_W, and
+    ``pressure_increments`` each sweep's dp on a scalar pressure (None on
+    any other). Both are 1-D float64 arrays, whatever sequence is passed
+    in: a run keeps one record per step, and an array costs 8 bytes per
+    sweep where a list of floats costs 32. The ratios are derived from
+    them, and they are Python-float lists. Reports compare by identity
+    (``eq=False``): ``==`` on array fields has no single truth value.
+    """
 
     index: int
     time: float
     inner_iterations: int
     terminal_value: float
-    eps_values: list[float]
+    eps_values: np.ndarray
     predicted: Optional[int]
-    pressure_ratios: Optional[list[float]] = None
+    pressure_increments: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        self.eps_values = linalg.as_vector(self.eps_values)
+        if self.pressure_increments is not None:
+            self.pressure_increments = linalg.as_vector(
+                self.pressure_increments)
 
     @property
     def first_eps(self) -> float:
-        return self.eps_values[0]
+        return float(self.eps_values[0])
 
     @property
     def ratios(self) -> list[float]:
         """eps_i / eps_{i-1} per sweep after the first; 0 after eps = 0."""
-        eps = self.eps_values
+        eps = self.eps_values.tolist()
         return [b / a if a > 0.0 else 0.0 for a, b in zip(eps, eps[1:])]
+
+    @property
+    def pressure_ratios(self) -> Optional[list[float]]:
+        """dp_i / dp_{i-1} per sweep after the first on a scalar pressure,
+        0 after dp = 0; None on any other."""
+        if self.pressure_increments is None:
+            return None
+        dp = self.pressure_increments.tolist()
+        return [b / a if a != 0.0 else 0.0 for a, b in zip(dp, dp[1:])]
 
     @property
     def ratio_median(self) -> float:
@@ -194,11 +220,12 @@ def predict_iterations(tol: float, eps1: float, gamma: float) -> int:
     """A-priori inner iteration count ``ceil((ln tol - ln eps1)/ln gamma) + 1``.
 
     Clamped to 1 when the first increment already meets the tolerance.
+    ``ValueError`` naming the parameter unless tol and eps1 are finite
+    reals > 0 and gamma one in (0, 1), by the library's number rule.
     """
-    if tol <= 0.0 or eps1 <= 0.0:
-        raise ValueError("tol and eps1 must be positive")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
+    tol, eps1 = _real("tol", tol), _real("eps1", eps1)
+    if _real("gamma", gamma) >= 1.0:
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma!r}")
     if tol >= eps1:
         return 1
     return max(1, math.ceil((math.log(tol) - math.log(eps1)) / math.log(gamma)) + 1)
@@ -361,8 +388,7 @@ def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
     z_prev = np.concatenate((hist_u.newest(), hist_p.newest()))
 
     eps_values: list[float] = []
-    p_ratios: list[float] = [] if scalar_p else None
-    dp_prev = None
+    increments: list[float] = [] if scalar_p else None
     tol_sq = cfg.tol ** 2
 
     for i in range(1, cfg.max_inner + 1):
@@ -378,13 +404,9 @@ def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
             raise SolverFailure(
                 f"termination functional is {value} at t={t:g}, inner "
                 f"iteration {i}; the iterates are no longer finite")
-        eps = math.sqrt(value)
+        eps_values.append(math.sqrt(value))
         if scalar_p:
-            dp = float(dz[dim_u])
-            if dp_prev is not None:
-                p_ratios.append(dp / dp_prev if dp_prev != 0.0 else 0.0)
-            dp_prev = dp
-        eps_values.append(eps)
+            increments.append(float(dz[dim_u]))
         z_prev = z_new
         if value <= tol_sq:
             predicted = None if work.gamma is None else predict_iterations(
@@ -392,7 +414,7 @@ def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
             report = StepReport(
                 index=-1, time=t, inner_iterations=i, terminal_value=value,
                 eps_values=eps_values, predicted=predicted,
-                pressure_ratios=p_ratios,
+                pressure_increments=increments,
             )
             return u_new, p_new, report
     # eps stopped falling (its smallest value came before the last sweep)

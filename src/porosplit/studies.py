@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bdf import scheme as make_scheme
-from .linalg import _real, weighted_norm_sq
+from .linalg import _real, _signed_real, weighted_norm_sq
 from .splitsolve import SplitConfig, Trajectory, integrate, step_count
 from .system import CoupledSystem, make_toy, solution_evaluators, time_shifted
 
@@ -124,7 +124,9 @@ def convergence_plan(order: int, taus, tol_exponent: float,
                      t_start: float = 0.0, gamma_target: float = 0.4
                      ) -> list[float]:
     """Check the arguments of :func:`convergence_study` but the system;
-    return its taus, largest first (at least two, each half the last)."""
+    return its taus, largest first (at least two, each half the last).
+    ``tol_exponent`` may have either sign but must be a finite real."""
+    _signed_real("tol_exponent", tol_exponent)
     taus = _sorted_taus(taus)
     _check_halving(taus)
     _check_clock(order, taus, t_end, t_start, reference)
@@ -137,8 +139,10 @@ def balancing_plan(order: int, taus, exponents, t_end: float = 1.0,
                    t_start: float = 0.0, factor: float = 2.0,
                    gamma_target: float = 0.4) -> tuple[list, list]:
     """Check the arguments of :func:`balancing_study` but the system;
-    return its taus, largest first, and exponents, smallest first."""
-    taus, exponents = _sorted_taus(taus), sorted(exponents)
+    return its taus, largest first, and exponents, smallest first. Each
+    exponent is checked as it is sorted: a finite real of either sign."""
+    taus = _sorted_taus(taus)
+    exponents = sorted(exponents, key=lambda s: _signed_real("exponent", s))
     _check_distinct("taus", taus)
     _check_distinct("exponents", exponents)
     _real("factor", factor)
@@ -156,10 +160,11 @@ def iteration_plan(order: int, omegas, gammas, taus,
                    t_end: float = 1.0) -> None:
     """Check the arguments of :func:`iteration_study` but the omegas, which
     the study's builder checks for every omega before the first run; the
-    study runs its grids in the order given."""
-    for name, values in (("omegas", omegas), ("gammas", gammas),
-                         ("taus", taus)):
-        _check_distinct(name, sorted(values))
+    study runs its grids in the order given. Each gamma and tau is checked
+    by the real rule as it is sorted."""
+    _check_distinct("omegas", sorted(omegas))
+    _check_distinct("gammas", sorted(gammas, key=lambda g: _real("gamma", g)))
+    _check_distinct("taus", _sorted_taus(taus))
     _check_clock(order, taus, t_end, 0.0, "analytic")
     for gamma in gammas:
         SplitConfig(tol=1.0, gamma_target=gamma)

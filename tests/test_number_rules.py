@@ -19,7 +19,7 @@ import pytest
 from porosplit import bdf, cli, fem2d, stability, studies, system
 from porosplit.bdf import History, UnsupportedOrder
 from porosplit.splitsolve import (SplitConfig, StepReport, contraction_factor,
-                                  step_count)
+                                  predict_iterations, step_count)
 from porosplit.system import InvalidParameter, make_network_toy, make_toy
 
 TOY = make_toy(2.0)
@@ -105,6 +105,28 @@ REAL_ENTRIES = [
     ("cli-s", lambda v: cli.RunConfig("toy", tau=0.125,
                                       tol_exponent=v).validate(),
      cli.ValidationError, "s", 0.0),
+    ("predict-tol", lambda v: predict_iterations(v, 0.5, 0.5), ValueError,
+     "tol", 0.0),
+    ("predict-eps1", lambda v: predict_iterations(1e-3, v, 0.5), ValueError,
+     "eps1", 0.0),
+    ("predict-gamma", lambda v: predict_iterations(1e-3, 0.5, v), ValueError,
+     "gamma", 0.0),
+    ("iteration-gamma",
+     lambda v: studies.iteration_plan(1, [2.0], [v, 0.5], [0.25]),
+     ValueError, "gamma", 0.0),
+    ("iteration-tau",
+     lambda v: studies.iteration_plan(1, [2.0], [0.5], [0.5, v]),
+     ValueError, "tau", 0.0),
+]
+
+# Exponents: the real rule of either sign (id, call, exception, name)
+SIGNED_REAL_ENTRIES = [
+    ("convergence-tol-exponent",
+     lambda v: studies.convergence_plan(1, [0.5, 0.25], v), ValueError,
+     "tol_exponent"),
+    ("balancing-exponent",
+     lambda v: studies.balancing_plan(1, [0.5, 0.25], [v, 2.5]), ValueError,
+     "exponent"),
 ]
 
 _NOT_NUMBERS = [True, False, np.True_, "2"]
@@ -141,6 +163,15 @@ def test_real_entries_reject_what_is_no_finite_real_in_range(
 
 
 @pytest.mark.parametrize("call, error, name, value", [
+    pytest.param(call, error, name, value, id=f"{entry}-{value!r}")
+    for entry, call, error, name in SIGNED_REAL_ENTRIES
+    for value in _NOT_NUMBERS + _NOT_FINITE])
+def test_signed_real_entries_reject_what_is_no_finite_real(
+        call, error, name, value):
+    _assert_rejected(call, error, name, value)
+
+
+@pytest.mark.parametrize("call, error, name, value", [
     (bdf.scheme, UnsupportedOrder, "BDF order", 6),
     (lambda v: make_network_toy(*NET, [((0, v), 0.5)]), InvalidParameter,
      "index of exchange pair", 2),
@@ -149,8 +180,9 @@ def test_real_entries_reject_what_is_no_finite_real_in_range(
     (lambda v: make_network_toy(*NET, [((0, v), 0.5)]), InvalidParameter,
      "index of exchange pair", 1.0),
     (stability.g_stability_data, ValueError, "order of explicit G data", 3),
+    (lambda v: predict_iterations(1e-3, 0.5, v), ValueError, "gamma", 1.0),
 ], ids=["order-6", "pair-index-2", "pair-index-True", "pair-index-1.0",
-        "g-data-order-3"])
+        "g-data-order-3", "predict-gamma-1.0"])
 def test_above_the_range_and_in_the_other_slot(call, error, name, value):
     _assert_rejected(call, error, name, value)
 
@@ -207,10 +239,19 @@ def test_exp_rate_zero_still_reaches_the_source_probe():
     is not None,
     lambda: cli.RunConfig("toy", tau=0.125,
                           tol_exponent=np.float64(2.5)).validate() is None,
+    lambda: predict_iterations(np.float64(1e-3), np.float64(1.0),
+                               np.float64(0.5)) == 11,
+    lambda: studies.convergence_plan(1, [0.5, 0.25], np.float64(-20.0))
+    == [0.5, 0.25],
+    lambda: studies.balancing_plan(1, [0.5, 0.25], [np.int64(1), 2.5, -1.0]
+                                   )[1] == [-1.0, 1, 2.5],
+    lambda: studies.iteration_plan(1, [2.0], [np.float64(0.5)],
+                                   [np.float64(0.25)]) is None,
 ], ids=["order", "capacity", "grid-n", "split-config", "stabilization-0",
         "criterion", "identity", "omega", "omega-int", "biot", "network",
         "t0-0", "t0", "step-count", "convergence-plan", "balancing-plan",
-        "sin-frequency", "cli-s"])
+        "sin-frequency", "cli-s", "predict", "negative-tol-exponent",
+        "negative-exponent", "iteration-plan"])
 def test_numpy_numbers_and_range_ends_are_accepted(call):
     assert call()
 

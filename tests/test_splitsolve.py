@@ -1,7 +1,9 @@
 import dataclasses
 import functools
+import gc
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +286,77 @@ class TestStepSplit:
         hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
         with pytest.raises(MaxInnerExceeded, match="within 3 inner"):
             split_step(toy, cfg, scheme(1), 0.125, hu, hp, 0.125)
+
+
+class TestStepRecord:
+    """A step's report keeps its sweeps in float64 arrays and derives the
+    ratios from them."""
+
+    # the first and last step of the toy (omega = 2) at BDF-1, gamma = 0.5,
+    # tau = 2^-3, tol = 1e-2, from the per-sweep division of the list record
+    PINNED = {
+        0: (["0x1.ffffffffffffep-2", "0x1.0000000000004p-1",
+             "0x1.0000000000009p-1", "0x1.fffffffffffb9p-2",
+             "0x1.ffffffffffff5p-2", "0x1.000000000003dp-1"],
+            ["0x1.0000000000000p-1", "0x1.0000000000004p-1",
+             "0x1.0000000000000p-1", "0x1.fffffffffffc6p-2",
+             "0x1.0000000000000p-1", "0x1.0000000000074p-1"]),
+        -1: (["0x1.fffffffffffffp-2", "0x1.fffffffffffecp-2",
+              "0x1.ffffffffffff9p-2", "0x1.ffffffffffee9p-2",
+              "0x1.0000000000158p-1", "0x1.ffffffffffe35p-2",
+              "0x1.000000000020bp-1", "0x1.ffffffffff57cp-2",
+              "0x1.00000000003adp-1"],
+             ["0x1.0000000000000p-1", "0x1.fffffffffffecp-2",
+              "0x1.0000000000000p-1", "0x1.fffffffffff0cp-2",
+              "0x1.0000000000145p-1", "0x1.ffffffffffd76p-2",
+              "0x1.000000000028ap-1", "0x1.ffffffffff5d7p-2",
+              "0x1.0000000000000p-1"]),
+    }
+
+    @staticmethod
+    def _run(sys, k=1, tau=0.125, tol=1e-2):
+        cfg = SplitConfig(tol=tol, gamma_target=0.5)
+        return integrate(sys, cfg, scheme(k), tau, 1.0, mode="split")
+
+    def test_fields_are_float64_arrays_with_one_entry_per_sweep(self, toy):
+        for rep in self._run(toy).reports:
+            for values in (rep.eps_values, rep.pressure_increments):
+                assert isinstance(values, np.ndarray)
+                assert values.dtype == np.float64
+                assert values.shape == (rep.inner_iterations,)
+
+    def test_a_vector_pressure_keeps_no_increments(self):
+        sys = make_network_toy(2, [0.4, 0.2], [1.0, 1.0], [1.0, 1.0], {})
+        for rep in self._run(sys).reports:
+            assert rep.eps_values.shape == (rep.inner_iterations,)
+            assert rep.pressure_increments is None
+            assert rep.pressure_ratios is None
+
+    def test_ratios_match_the_list_record_bit_for_bit(self, toy):
+        reports = self._run(toy).reports
+        for index, (ratios, pressure_ratios) in self.PINNED.items():
+            rep = reports[index]
+            assert [r.hex() for r in rep.ratios] == ratios
+            assert [r.hex() for r in rep.pressure_ratios] == pressure_ratios
+
+    def test_reports_keep_at_most_40_bytes_per_sweep(self, toy):
+        # 255 split steps at BDF-2 and tau = 2^-8; a record of two Python
+        # float lists kept 78 bytes per sweep, two float64 arrays keep 31
+        tau = 2.0 ** -8
+        run = functools.partial(self._run, toy, 2, tau, tau ** 3.5)
+        run()  # first-use caches stay out of the count
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            reports = run().reports
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        sweeps = sum(rep.inner_iterations for rep in reports)
+        assert (len(reports), sweeps) == (255, 6399)
+        assert kept / sweeps <= 40, f"{kept / sweeps:.1f} bytes per sweep"
 
 
 class TestStepImplicit:
