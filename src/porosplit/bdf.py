@@ -103,7 +103,11 @@ def scheme(k: int) -> BdfScheme:
 
 
 class History:
-    """Ring of the most recent accepted state vectors, newest first."""
+    """Ring of the most recent accepted state vectors, newest first.
+
+    A run of :func:`porosplit.splitsolve.integrate` keeps one, and each
+    entry is a stacked state z = (u, p), so one :func:`history_sum` gives
+    the history terms of both fields."""
 
     def __init__(self, capacity: int, values=None):
         self.capacity = _integer("capacity", capacity, 1)

@@ -24,9 +24,10 @@ system's coupling constant beta, the default (see
 :func:`default_stabilization`), successive functional values contract at
 least by ``sqrt(L / (2 c_c + L))`` per inner iteration.
 
-:func:`integrate` takes every step in one loop over one pair of BDF
-histories; a run without seeds starts from the initial data, and its
-first k - 1 steps are the start-up, step n < k an implicit BDF-n step.
+:func:`integrate` takes every step in one loop over one BDF history of
+stacked states z = (u, p), from which each step takes one history sum; a
+run without seeds starts from the initial data, and its first k - 1
+steps are the start-up, step n < k an implicit BDF-n step.
 One :class:`StepperWork` per :func:`integrate` call decides L, G, W and
 the predicted contraction once, and factors each block on its first
 solve, so a run factors only what its steps use. A is not among them:
@@ -115,8 +116,10 @@ class SplitConfig:
 
 @dataclass(slots=True, eq=False)
 class StepReport:
-    """Per-step record of the inner fixed-stress iteration; ``predicted``
-    is None when no contraction factor is known (L = 0, no gamma target).
+    """Per-step record of the inner fixed-stress iteration of split step
+    ``index`` at ``time`` = index * tau, built whole by :func:`step_split`;
+    ``predicted`` is None when no contraction factor is known (L = 0, no
+    gamma target).
 
     ``eps_values`` holds each sweep's eps = |dz|_W, and
     ``pressure_increments`` each sweep's dp on a scalar pressure (None on
@@ -367,25 +370,31 @@ def termination_functional(work: StepperWork, dz: np.ndarray) -> float:
     return weighted_norm_sq(work.weight, dz)
 
 
-def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
+def step_split(work: StepperWork, hist: History, n: int
                ) -> tuple[np.ndarray, np.ndarray, StepReport]:
-    """One split time step of ``work``'s scheme: iterate pressure and
-    displacement solves to tolerance.
+    """Split step n of ``work``'s scheme, at t = n tau: iterate pressure
+    and displacement solves to tolerance.
 
-    The initial iterate is the previous accepted state (newest history
-    entry). Raises :class:`MaxInnerExceeded` if the termination functional
-    does not pass tol^2 within ``cfg.max_inner`` iterations.
+    ``hist`` holds the stacked states z = (u, p) of the steps before n,
+    newest first; one history sum over it gives the u and p terms as
+    slices.
+    The initial iterate is the previous accepted state, ``hist.newest()``.
+    Returns the new u, p and the step's report, indexed n. Raises
+    :class:`MaxInnerExceeded` if the termination functional does not pass
+    tol^2 within ``cfg.max_inner`` iterations.
     """
     sys, cfg, sch, tau = work.sys, work.cfg, work.scheme, work.tau
     d_t, lag = work.coupling_t, work.lag
     p_factor, a_factor = work.pressure_factor(), sys.elasticity_factor
-    su, sp = history_sum(sch, hist_u), history_sum(sch, hist_p)
+    t = n * tau
     dim_u = sys.dim_u
+    past = history_sum(sch, hist)
     scalar_p = sys.dim_p == 1
 
-    rhs_fixed = sys.load_p(t) - (sys.coupling @ su + sys.storage @ sp) / tau
+    rhs_fixed = sys.load_p(t) - (sys.coupling @ past[:dim_u]
+                                 + sys.storage @ past[dim_u:]) / tau
     f_now = sys.load_u(t)
-    z_prev = np.concatenate((hist_u.newest(), hist_p.newest()))
+    z_prev = hist.newest()
 
     eps_values: list[float] = []
     increments: list[float] = [] if scalar_p else None
@@ -412,7 +421,7 @@ def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
             predicted = None if work.gamma is None else predict_iterations(
                 cfg.tol, max(eps_values[0], 1e-300), work.gamma)
             report = StepReport(
-                index=-1, time=t, inner_iterations=i, terminal_value=value,
+                index=n, time=t, inner_iterations=i, terminal_value=value,
                 eps_values=eps_values, predicted=predicted,
                 pressure_increments=increments,
             )
@@ -436,22 +445,26 @@ def step_split(work: StepperWork, hist_u: History, hist_p: History, t: float
         f"{cause}")
 
 
-def step_implicit(work: StepperWork, sch: BdfScheme, hist_u: History,
-                  hist_p: History, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """One monolithic implicit BDF step of scheme ``sch``: ``work.scheme``
-    from step k on, BDF-n at a start-up step n < k. A BDF-n step reads the
-    n newest entries of the histories."""
+def step_implicit(work: StepperWork, sch: BdfScheme, hist: History, n: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Monolithic implicit step n, at t = n tau, of scheme ``sch``:
+    ``work.scheme`` from step k on, BDF-n at a start-up step n < k. A
+    BDF-n step reads the n newest stacked states z = (u, p) of ``hist``.
+    Returns u and p as views of the solved z."""
     sys, tau = work.sys, work.tau
-    su, sp = history_sum(sch, hist_u), history_sum(sch, hist_p)
+    t = n * tau
+    dim_u = sys.dim_u
+    past = history_sum(sch, hist)
     rhs = np.concatenate([
         sys.load_u(t),
-        sys.load_p(t) - (sys.coupling @ su + sys.storage @ sp) / tau,
+        sys.load_p(t) - (sys.coupling @ past[:dim_u]
+                         + sys.storage @ past[dim_u:]) / tau,
     ])
     try:
         z = work.block_factor(sch).solve(rhs)
     except linalg.LinalgError as exc:
         raise SolverFailure(f"monolithic solve failed: {exc}") from exc
-    return z[:sys.dim_u], z[sys.dim_u:]
+    return z[:dim_u], z[dim_u:]
 
 
 def _seeds(states, field: str, dim: int) -> list[np.ndarray]:
@@ -494,16 +507,18 @@ def integrate(sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
               initial_history=None) -> Trajectory:
     """Run the stepper over [0, t_end] with constant step tau.
 
-    One loop takes every step over one pair of histories of capacity k.
-    A run given ``initial_history`` (k displacement and k pressure seeds,
-    each of its field's length and finite, checked before the first step)
-    starts at step k. A run without one starts from the initial data at
-    step 1, and its steps n < k are the start-up: implicit BDF-n steps.
-    ``mode`` selects the split or the monolithic implicit stepper for the
-    steps n >= k. The run's one :class:`StepperWork` resolves L, the
-    termination weights and the prediction factor before the first step,
-    and factors each block on its first solve; the trajectory records the
-    L used. The step grid is checked first, by :func:`step_count`.
+    One loop takes every step over one history of capacity k, whose
+    entries are the stacked states z = (u, p); each accepted step pushes
+    its z once. A run given ``initial_history`` (k displacement and k
+    pressure seeds, each of its field's length and finite, checked before
+    the first step) starts at step k. A run without one starts from the
+    initial data at step 1, and its steps n < k are the start-up: implicit
+    BDF-n steps. ``mode`` selects the split or the monolithic implicit
+    stepper for the steps n >= k. The run's one :class:`StepperWork`
+    resolves L, the termination weights and the prediction factor before
+    the first step, and factors each block on its first solve; the
+    trajectory records the L used. The step grid is checked first, by
+    :func:`step_count`.
     """
     k = sch.order
     n_steps = step_count(tau, t_end, k)
@@ -516,24 +531,21 @@ def integrate(sys: CoupledSystem, cfg: SplitConfig, sch: BdfScheme,
             raise ValueError(f"initial history must provide {k} states")
         us = _seeds(us, "displacement", sys.dim_u)
         ps = _seeds(ps, "pressure", sys.dim_p)
-    hist_u, hist_p = History(k, us), History(k, ps)
+    hist = History(k, [np.concatenate((u, p)) for u, p in zip(us, ps)])
     reports: list[StepReport] = []
 
     for n in range(len(us), n_steps + 1):
-        t = n * tau
         if n < k:
             # start-up: the n states so far fill BDF-n's history
-            u, p = step_implicit(work, make_scheme(n), hist_u, hist_p, t)
+            u, p = step_implicit(work, make_scheme(n), hist, n)
         elif mode == "split":
-            u, p, report = step_split(work, hist_u, hist_p, t)
-            report.index = n
+            u, p, report = step_split(work, hist, n)
             reports.append(report)
         else:
-            u, p = step_implicit(work, sch, hist_u, hist_p, t)
+            u, p = step_implicit(work, sch, hist, n)
         us.append(u)
         ps.append(p)
-        hist_u.push(u)
-        hist_p.push(p)
+        hist.push(np.concatenate((u, p)))
 
     times = tau * np.arange(n_steps + 1)
     return Trajectory(tau=tau, times=times, us=us, ps=ps, reports=reports,

@@ -158,11 +158,13 @@ def balancing_plan(order: int, taus, exponents, t_end: float = 1.0,
 
 def iteration_plan(order: int, omegas, gammas, taus,
                    t_end: float = 1.0) -> None:
-    """Check the arguments of :func:`iteration_study` but the omegas, which
-    the study's builder checks for every omega before the first run; the
-    study runs its grids in the order given. Each gamma and tau is checked
-    by the real rule as it is sorted."""
-    _check_distinct("omegas", sorted(omegas))
+    """Check the arguments of :func:`iteration_study`; the study runs its
+    grids in the order given. Each gamma and tau is checked by the real
+    rule as it is sorted, and each omega by the real rule without its
+    range, which the study's builder checks for every omega before the
+    first run."""
+    _check_distinct("omegas",
+                    sorted(omegas, key=lambda w: _signed_real("omega", w)))
     _check_distinct("gammas", sorted(gammas, key=lambda g: _real("gamma", g)))
     _check_distinct("taus", _sorted_taus(taus))
     _check_clock(order, taus, t_end, 0.0, "analytic")

@@ -127,6 +127,10 @@ SIGNED_REAL_ENTRIES = [
     ("balancing-exponent",
      lambda v: studies.balancing_plan(1, [0.5, 0.25], [v, 2.5]), ValueError,
      "exponent"),
+    # the study's builder checks an omega's range
+    ("iteration-omega",
+     lambda v: studies.iteration_plan(1, [v, 1.0], [0.5], [0.25]),
+     ValueError, "omega"),
 ]
 
 _NOT_NUMBERS = [True, False, np.True_, "2"]
@@ -169,6 +173,21 @@ def test_real_entries_reject_what_is_no_finite_real_in_range(
 def test_signed_real_entries_reject_what_is_no_finite_real(
         call, error, name, value):
     _assert_rejected(call, error, name, value)
+
+
+@pytest.mark.parametrize("omegas", [["2", 1.0], [True, 2.0], [math.nan, 2.0]],
+                         ids=["string", "bool", "nan"])
+def test_an_omega_that_is_no_real_fails_before_any_run(monkeypatch, omegas):
+    # a string omega used to fail in the plan's sort with Python's
+    # TypeError, and True and nan used to pass the plan
+    runs = []
+    monkeypatch.setattr(studies, "integrate",
+                        lambda *args, **kwargs: runs.append(args))
+    _assert_rejected(
+        lambda bad: studies.iteration_study(1, [bad, *omegas[1:]], [0.5],
+                                            [0.25]), ValueError,
+        "omega", omegas[0])
+    assert runs == []
 
 
 @pytest.mark.parametrize("call, error, name, value", [

@@ -20,15 +20,21 @@ from porosplit.system import CoupledSystem, make_network_toy, make_toy
 from verification import reference_step_split, termination_weights
 
 
-def split_step(sys, cfg, sch, tau, hu, hp, t):
-    """``step_split`` with a fresh run object for one step."""
-    return step_split(StepperWork(sys, cfg, sch, tau, "split"), hu, hp, t)
+def split_step(sys, cfg, sch, tau, hist, n):
+    """``step_split`` with a fresh run object for step n."""
+    return step_split(StepperWork(sys, cfg, sch, tau, "split"), hist, n)
 
 
-def implicit_step(sys, sch, tau, hu, hp, t):
-    """``step_implicit`` with a fresh run object for one step."""
+def implicit_step(sys, sch, tau, hist, n):
+    """``step_implicit`` with a fresh run object for step n."""
     work = StepperWork(sys, SplitConfig(tol=1.0), sch, tau, "implicit")
-    return step_implicit(work, sch, hu, hp, t)
+    return step_implicit(work, sch, hist, n)
+
+
+def stacked(k, us, ps):
+    """A history of capacity k of the stacked states (u, p), oldest given
+    first."""
+    return History(k, [np.concatenate((u, p)) for u, p in zip(us, ps)])
 
 
 def resolved_stabilization(sys, gamma, tau, k):
@@ -168,18 +174,17 @@ class TestStepSplit:
         sch = scheme(1)
         tau = 0.125
         cfg = SplitConfig(tol=1e-10, stabilization=1.0)
-        hu = History(1, [sys.u0])
-        hp = History(1, [sys.p0])
-        u_s, p_s, rep = split_step(sys, cfg, sch, tau, hu, hp, tau)
-        u_i, p_i = implicit_step(sys, sch, tau, hu, hp, tau)
+        hist = stacked(1, [sys.u0], [sys.p0])
+        u_s, p_s, rep = split_step(sys, cfg, sch, tau, hist, 1)
+        u_i, p_i = implicit_step(sys, sch, tau, hist, 1)
         # weak residual coupling (alpha ~ 0): one sweep reaches the fixed point
         np.testing.assert_allclose(p_s, p_i, atol=1e-8)
 
     def test_huge_tolerance_single_sweep(self, toy):
         sch = scheme(1)
         cfg = SplitConfig(tol=1e6, stabilization=4.0)
-        hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
-        _, _, rep = split_step(toy, cfg, sch, 0.125, hu, hp, 0.125)
+        hist = stacked(1, [toy.u0], [toy.p0])
+        _, _, rep = split_step(toy, cfg, sch, 0.125, hist, 1)
         assert rep.inner_iterations == 1
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
@@ -195,30 +200,40 @@ class TestStepSplit:
         assert ratios
         assert max(abs(r - gamma) for r in ratios) <= 1e-11
 
+    def test_report_carries_its_step_index_and_time(self, toy):
+        tau = 0.125
+        seeds = exact_seeds(toy, 2, tau)
+        hist = stacked(2, *seeds)
+        cfg = SplitConfig(tol=1e-8, gamma_target=0.5)
+        _, _, rep = split_step(toy, cfg, scheme(2), tau, hist, 2)
+        assert (rep.index, rep.time) == (2, 2 * tau)
+        _, _, rep = split_step(toy, cfg, scheme(2), tau, hist, 5)
+        assert (rep.index, rep.time) == (5, 5 * tau)
+
     def test_max_inner_exceeded(self, toy):
         sch = scheme(1)
         cfg = SplitConfig(tol=1e-12, stabilization=500.0, max_inner=3)
-        hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
+        hist = stacked(1, [toy.u0], [toy.p0])
         with pytest.raises(MaxInnerExceeded,
                            match="L = 500 with beta = 1.69227 guarantees "
                                  "a contraction by 0.998"):
-            split_step(toy, cfg, sch, 0.125, hu, hp, 0.125)
+            split_step(toy, cfg, sch, 0.125, hist, 1)
 
     def test_max_inner_exceeded_below_beta_claims_no_guarantee(self, biot8):
         cfg = SplitConfig(tol=1e-12, stabilization=0.1, max_inner=2)
-        hu, hp = History(1, [biot8.u0]), History(1, [biot8.p0])
+        hist = stacked(1, [biot8.u0], [biot8.p0])
         with pytest.raises(MaxInnerExceeded,
                            match="L = 0.1 with beta = 0.9 guarantees no "
                                  "contraction"):
-            split_step(biot8, cfg, scheme(1), 0.125, hu, hp, 0.125)
+            split_step(biot8, cfg, scheme(1), 0.125, hist, 1)
 
     def test_max_inner_exceeded_on_round_off_names_the_floor(self, toy):
         # eps falls to ~1e-16 within a few sweeps, then wanders there until
         # the cap; L = beta is not the cause
         cfg = SplitConfig(tol=1e-300)
-        hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
+        hist = stacked(1, [toy.u0], [toy.p0])
         with pytest.raises(MaxInnerExceeded) as err:
-            split_step(toy, cfg, scheme(1), 0.125, hu, hp, 0.125)
+            split_step(toy, cfg, scheme(1), 0.125, hist, 1)
         message = str(err.value)
         assert re.search(r"within 200 inner iterations at t=0.125; eps "
                          r"stopped falling at \S+e-16 \(sweep \d+\), so tol "
@@ -228,19 +243,19 @@ class TestStepSplit:
     def test_max_inner_exceeded_on_growth_claims_no_guarantee(self, toy):
         # L = 0: eps grows from about 1.9 to about 4e35 over 200 sweeps
         cfg = SplitConfig(tol=1e-9, stabilization=0.0)
-        hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
+        hist = stacked(1, [toy.u0], [toy.p0])
         with pytest.raises(MaxInnerExceeded,
                            match="within 200 inner iterations at t=0.125; "
                                  "L = 0 with beta = 1.69227 guarantees no "
                                  "contraction"):
-            split_step(toy, cfg, scheme(1), 0.125, hu, hp, 0.125)
+            split_step(toy, cfg, scheme(1), 0.125, hist, 1)
 
     def test_non_finite_iterate_fails_at_once(self, toy):
         bad = dataclasses.replace(toy, load_p=lambda t: np.array([math.nan]))
         cfg = SplitConfig(tol=1e-6, stabilization=4.0)
-        hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
+        hist = stacked(1, [toy.u0], [toy.p0])
         with pytest.raises(SolverFailure, match="inner iteration 1;"):
-            split_step(bad, cfg, scheme(1), 0.125, hu, hp, 0.125)
+            split_step(bad, cfg, scheme(1), 0.125, hist, 1)
 
     @pytest.mark.parametrize("kwargs", [
         {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0},
@@ -283,9 +298,9 @@ class TestStepSplit:
     def test_config_accepts_a_numpy_integer_max_inner(self, toy):
         cfg = SplitConfig(tol=1e-12, stabilization=500.0,
                           max_inner=np.int64(3))
-        hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
+        hist = stacked(1, [toy.u0], [toy.p0])
         with pytest.raises(MaxInnerExceeded, match="within 3 inner"):
-            split_step(toy, cfg, scheme(1), 0.125, hu, hp, 0.125)
+            split_step(toy, cfg, scheme(1), 0.125, hist, 1)
 
 
 class TestStepRecord:
@@ -363,8 +378,8 @@ class TestStepImplicit:
     def test_matches_hand_assembled_block_solve(self, toy):
         sch = scheme(1)
         tau = 0.125
-        hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
-        u, p = implicit_step(toy, sch, tau, hu, hp, tau)
+        hist = stacked(1, [toy.u0], [toy.p0])
+        u, p = implicit_step(toy, sch, tau, hist, 1)
         a = toy.elasticity
         d = toy.coupling
         block = np.zeros((4, 4))
@@ -384,9 +399,7 @@ class TestStepImplicit:
         tau = 0.0625
         seeds = ([biot8.semidiscrete_u(0.0), biot8.semidiscrete_u(tau)],
                  [biot8.semidiscrete_p(0.0), biot8.semidiscrete_p(tau)])
-        hu = History(2, seeds[0])
-        hp = History(2, seeds[1])
-        u, p = implicit_step(biot8, sch, tau, hu, hp, 2 * tau)
+        u, p = implicit_step(biot8, sch, tau, stacked(2, *seeds), 2)
         xi = sch.coeffs
         su = xi[1] * seeds[0][1] + xi[2] * seeds[0][0]
         sp = xi[1] * seeds[1][1] + xi[2] * seeds[1][0]
@@ -420,9 +433,8 @@ class TestStepImplicit:
         )
         for k in (1, 2, 3):
             sch = scheme(k)
-            hu = History(k, [u_star] * k)
-            hp = History(k, [p_star] * k)
-            u, p = implicit_step(stat, sch, 0.25, hu, hp, 0.25)
+            hist = stacked(k, [u_star] * k, [p_star] * k)
+            u, p = implicit_step(stat, sch, 0.25, hist, 1)
             np.testing.assert_allclose(u, u_star, atol=1e-10)
             np.testing.assert_allclose(p, p_star, atol=1e-10)
 
@@ -432,8 +444,8 @@ class TestIntegrate:
         sch = scheme(1)
         cfg = SplitConfig(tol=1e-9, gamma_target=0.5)
         traj = integrate(toy, cfg, sch, 1.0, 1.0, mode="split")
-        hu, hp = History(1, [toy.u0]), History(1, [toy.p0])
-        u, p, _ = split_step(toy, cfg, sch, 1.0, hu, hp, 1.0)
+        hist = stacked(1, [toy.u0], [toy.p0])
+        u, p, _ = split_step(toy, cfg, sch, 1.0, hist, 1)
         np.testing.assert_allclose(traj.us[-1], u, rtol=1e-14)
         np.testing.assert_allclose(traj.ps[-1], p, rtol=1e-14)
 
@@ -446,6 +458,30 @@ class TestIntegrate:
                                   t_impl.ps):
             assert np.abs(us - ui).max() <= 1e-10
             assert np.abs(ps - pi).max() <= 1e-10
+
+    @pytest.mark.parametrize("mode", ["split", "implicit"])
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_one_history_push_per_start_state_and_step(self, monkeypatch,
+                                                       toy, mode, seeded):
+        pushes = []
+        push = History.push
+
+        def counting_push(self, value):
+            pushes.append((id(self), np.shape(value)))
+            push(self, value)
+
+        monkeypatch.setattr(History, "push", counting_push)
+        k, tau = 3, 0.125
+        seeds = exact_seeds(toy, k, tau) if seeded else None
+        traj = integrate(toy, SplitConfig(tol=1e-8), scheme(k), tau, 1.0,
+                         mode=mode, initial_history=seeds)
+        # unseeded: the initial state and steps 1..8; seeded: the three
+        # seeds and steps 3..8
+        starts, steps = (k, 6) if seeded else (1, 8)
+        assert len(traj.times) == 9
+        assert len(pushes) == starts + steps
+        assert len({hist for hist, _ in pushes}) == 1
+        assert {shape for _, shape in pushes} == {(toy.dim_u + toy.dim_p,)}
 
     def test_non_integral_step_count_rejected(self, toy):
         cfg = SplitConfig(tol=1e-6)
@@ -499,15 +535,15 @@ class TestStepCount:
         cfg = SplitConfig(tol=1e-9, gamma_target=0.5)
         tau = 0.125
         traj = integrate(toy, cfg, scheme(k), tau, 1.0, mode=mode)
-        # step n < k is the implicit BDF-n step from the n states before it
-        us, ps = [toy.u0], [toy.p0]
+        # step n < k is the implicit BDF-n step from the n stacked states
+        # before it, on one history of capacity k as the run keeps it
+        work = StepperWork(toy, cfg, scheme(k), tau, mode)
+        hist = stacked(k, [toy.u0], [toy.p0])
         for n in range(1, k):
-            u, p = implicit_step(toy, scheme(n), tau, History(n, us[-n:]),
-                                 History(n, ps[-n:]), n * tau)
+            u, p = step_implicit(work, scheme(n), hist, n)
             np.testing.assert_array_equal(traj.us[n], u)
             np.testing.assert_array_equal(traj.ps[n], p)
-            us.append(u)
-            ps.append(p)
+            hist.push(np.concatenate((u, p)))
 
     def test_wrong_length_seed_is_named(self, toy):
         seeds = ([toy.u0, toy.u0[:2]], [toy.p0, toy.p0])
@@ -764,8 +800,8 @@ class TestStackedSweep:
         monkeypatch.setattr(ss, "factorize",
                             lambda m: CountingFactor(factorize(m)))
         cfg = SplitConfig(tol=1e-10, stabilization=4.0)
-        hu, hp = History(1, [sys.u0]), History(1, [sys.p0])
-        _, _, rep = split_step(sys, cfg, scheme(1), 0.125, hu, hp, 0.125)
+        hist = stacked(1, [sys.u0], [sys.p0])
+        _, _, rep = split_step(sys, cfg, scheme(1), 0.125, hist, 1)
         dim = sys.dim_u + sys.dim_p
         assert rep.inner_iterations > 1
         assert forms == [(dim, dim)] * rep.inner_iterations

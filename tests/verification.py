@@ -249,22 +249,25 @@ def termination_weights(work: StepperWork) -> tuple[float, float, float]:
             work.tau / work.scheme.leading * sys.flow_coercivity)
 
 
-def reference_step_split(work: StepperWork, hist_u: History, hist_p: History,
-                         t: float) -> tuple[np.ndarray, np.ndarray, StepReport]:
+def reference_step_split(work: StepperWork, hist: History, n: int
+                         ) -> tuple[np.ndarray, np.ndarray, StepReport]:
     """``splitsolve.step_split`` swept field by field: the lagged terms as
     two products, -(xi0/tau) D u + (xi0/tau) L M_H p, and the termination
-    functional as three quadratic forms. The same solves, update order and
-    stopping rule; the reports carry no prediction and the step raises
-    ``RuntimeError`` at the iteration cap.
+    functional as three quadratic forms. u and p are read as slices of the
+    stacked history ``hist`` and its sum, and each sweep keeps them apart.
+    The same solves, update order and stopping rule; the reports carry no
+    prediction and the step raises ``RuntimeError`` at the iteration cap.
     """
     sys, cfg, sch, tau = work.sys, work.cfg, work.scheme, work.tau
     xi0, ell = sch.leading, work.stabilization
     w_u, w_p, w_q = termination_weights(work)
     p_factor, a_factor = work.pressure_factor(), sys.elasticity_factor
-    su, sp = history_sum(sch, hist_u), history_sum(sch, hist_p)
+    t, dim_u = n * tau, sys.dim_u
+    past = history_sum(sch, hist)
+    su, sp = past[:dim_u], past[dim_u:]
     rhs_fixed = sys.load_p(t) - (sys.coupling @ su + sys.storage @ sp) / tau
     f_now = sys.load_u(t)
-    u_prev, p_prev = hist_u.newest(), hist_p.newest()
+    u_prev, p_prev = hist.newest()[:dim_u], hist.newest()[dim_u:]
     eps_values: list[float] = []
     for i in range(1, cfg.max_inner + 1):
         rhs_p = (rhs_fixed - (xi0 / tau) * (sys.coupling @ u_prev)
@@ -279,7 +282,7 @@ def reference_step_split(work: StepperWork, hist_u: History, hist_p: History,
         u_prev, p_prev = u_new, p_new
         if value <= cfg.tol ** 2:
             return u_new, p_new, StepReport(
-                index=-1, time=t, inner_iterations=i, terminal_value=value,
+                index=n, time=t, inner_iterations=i, terminal_value=value,
                 eps_values=eps_values, predicted=None)
     raise RuntimeError(f"no termination within {cfg.max_inner} inner "
                        f"iterations at t={t:g}")
