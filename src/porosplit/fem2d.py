@@ -12,17 +12,19 @@ boundary row or column dropped. Matrix products of P1 functions are
 integrated exactly with the mid-edge rule; smooth source fields use the
 same three-point rule, whose consistency error sits far below the
 temporal errors probed at this scale. The rule's weights form one sparse
-matrix from the mesh's unique edge midpoints to interior nodes. The
-manufactured sources are exp(-t / t_d) times a field of (x, y), so each
-load vector costs one evaluation of the source per edge and one sparse
-product at assembly; a load at time t is that vector times exp(-t / t_d).
+matrix from the mesh's unique edge midpoints to interior nodes. A
+manufactured solution stores its fields and sources at t = 0, and at
+time t each is exp(-t / t_d) times that. So each load vector costs one
+evaluation of the source per edge and one sparse product at assembly,
+and a load or exact field at time t is its t = 0 vector times
+exp(-t / t_d).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.sparse
@@ -112,18 +114,17 @@ class BiotParameters:
 class ManufacturedSolution:
     """Prescribed fields and the sources that make them solve the PDE.
 
-    Every field and source is exp(-t / decay_time) times a function of
-    (x, y); :func:`assemble_biot` relies on that separation and checks it.
-    All evaluators take (t, x, y) with x, y broadcastable arrays; vector
-    fields return a trailing component axis of size 2.
+    Every field and source is exp(-t / decay_time) times its value at
+    t = 0, so the solution holds the t = 0 values: ``u``, ``p``, ``f`` and
+    ``g`` take (x, y) as broadcastable arrays, and the vector fields ``u``
+    and ``f`` return a trailing component axis of size 2. ``params`` are
+    the material constants the sources were made for.
     """
 
     params: BiotParameters
     decay_time: float
     u: Callable
     p: Callable
-    du_dt: Callable
-    dp_dt: Callable
     f: Callable
     g: Callable
 
@@ -132,17 +133,16 @@ def manufactured(params: BiotParameters) -> ManufacturedSolution:
     """Separable decaying fields on the unit square.
 
     u = -10 e^{-t/5} sin(pi x) sin(pi y) (1, 1) and p = +10 e^{-t/5}
-    sin(pi x) sin(pi y), so the decay time is 5; the sources follow by
-    substituting into the momentum and mass-balance equations. Both
-    fields vanish on the boundary for all t.
+    sin(pi x) sin(pi y), so the decay time is 5 and the amplitude at t = 0
+    is 10; the sources follow by substituting into the momentum and
+    mass-balance equations, where each time derivative is -1/5 times its
+    field. Both fields vanish on the boundary.
     """
     lam, mu = params.lam, params.mu
     kon, inv_m, alpha = params.kappa_over_nu, params.inv_m, params.alpha
     pi = math.pi
     decay_time = 5.0
-
-    def w(t):
-        return 10.0 * np.exp(-t / decay_time)
+    w = 10.0
 
     def s(x, y):
         return np.sin(pi * x) * np.sin(pi * y)
@@ -156,45 +156,38 @@ def manufactured(params: BiotParameters) -> ManufacturedSolution:
     def cc(x, y):
         return np.cos(pi * x) * np.cos(pi * y)
 
-    def u(t, x, y):
-        comp = -w(t) * s(x, y)
+    def u(x, y):
+        comp = -w * s(x, y)
         return np.stack([comp, comp], axis=-1)
 
-    def p(t, x, y):
-        return w(t) * s(x, y)
+    def p(x, y):
+        return w * s(x, y)
 
-    def du_dt(t, x, y):
-        comp = w(t) / decay_time * s(x, y)
-        return np.stack([comp, comp], axis=-1)
-
-    def dp_dt(t, x, y):
-        return -w(t) / decay_time * s(x, y)
-
-    def f(t, x, y):
+    def f(x, y):
         # -div sigma(u) + alpha grad p, identical structure per component
-        common = w(t) * pi * pi * ((lam + mu) * cc(x, y)
-                                   - (3.0 * mu + lam) * s(x, y))
-        return np.stack([common + alpha * w(t) * sx(x, y),
-                         common + alpha * w(t) * sy(x, y)], axis=-1)
+        common = w * pi * pi * ((lam + mu) * cc(x, y)
+                                - (3.0 * mu + lam) * s(x, y))
+        return np.stack([common + alpha * w * sx(x, y),
+                         common + alpha * w * sy(x, y)], axis=-1)
 
-    def g(t, x, y):
-        content_rate = w(t) / decay_time * (alpha * (sx(x, y) + sy(x, y))
-                                            - inv_m * s(x, y))
-        return content_rate + 2.0 * pi * pi * kon * w(t) * s(x, y)
+    def g(x, y):
+        content_rate = w / decay_time * (alpha * (sx(x, y) + sy(x, y))
+                                         - inv_m * s(x, y))
+        return content_rate + 2.0 * pi * pi * kon * w * s(x, y)
 
     return ManufacturedSolution(params=params, decay_time=decay_time, u=u,
-                                p=p, du_dt=du_dt, dp_dt=dp_dt, f=f, g=g)
+                                p=p, f=f, g=g)
 
 
-def interpolate(grid: Grid2D, field, t: float) -> np.ndarray:
-    """Nodal interpolation of a (t, x, y) evaluator onto interior dofs.
+def interpolate(grid: Grid2D, field) -> np.ndarray:
+    """Nodal interpolation of an (x, y) evaluator onto interior dofs.
 
     Scalar fields yield one value per interior node; vector fields are
     stacked component-blocked (all x-values, then all y-values).
     """
     x, y = grid.nodes()
     mask = grid.interior_mask()
-    values = np.asarray(field(t, x[mask], y[mask]), dtype=float)
+    values = np.asarray(field(x[mask], y[mask]), dtype=float)
     if values.ndim == 1:
         return values
     return np.concatenate([values[:, 0], values[:, 1]])
@@ -266,28 +259,19 @@ def _scatter(rows, cols, blocks, shape):
                                    shape=shape)
 
 
-# time at which assemble_biot checks the separated loads against quadrature
-_LOAD_PROBE = 0.7
-
-
-def assemble_biot(grid: Grid2D, params: BiotParameters,
-                  solution: Optional[ManufacturedSolution] = None
+def assemble_biot(grid: Grid2D, solution: ManufacturedSolution
                   ) -> CoupledSystem:
-    """Assemble the Biot operators over interior degrees of freedom.
+    """Assemble the Biot problem that ``solution`` states.
 
-    Norm matrices: vector and scalar gradient (stiffness) matrices for the
-    displacement and pressure-gradient norms, the scalar mass matrix for
-    the pressure norm. Sources and initial data come from ``solution``
-    when given (zero otherwise); the initial displacement is recomputed
-    from the momentum balance so the initial data are consistent, and the
-    factor of A that solves it is kept as the system's
-    ``elasticity_factor``.
-
-    The two load vectors are integrated once, at t = 0, and each load
-    call scales its vector by exp(-t / decay_time). One probe time checks
-    that separation against the mid-edge rule applied to ``solution.f``
-    and ``solution.g`` directly; sources that do not decay with
-    ``solution.decay_time`` raise :class:`InvalidParameter`.
+    The material constants are ``solution.params``. Norm matrices: vector
+    and scalar gradient (stiffness) matrices for the displacement and
+    pressure-gradient norms, the scalar mass matrix for the pressure norm.
+    The sources ``solution.f`` and ``solution.g`` are integrated once by
+    the mid-edge rule and ``solution.u`` and ``solution.p`` interpolated
+    once; each load and exact-field call scales its t = 0 vector by
+    exp(-t / decay_time). The initial displacement is recomputed from the
+    momentum balance so the initial data are consistent, and the factor of
+    A that solves it is kept as the system's ``elasticity_factor``.
 
     The constants are bounds valid on every grid. On H^1_0,
     ||eps(u)||^2 = (||grad u||^2 + ||div u||^2) / 2, so a(u, u) =
@@ -299,6 +283,9 @@ def assemble_biot(grid: Grid2D, params: BiotParameters,
     and storage forms are multiples of their norms. The test suite checks
     the bounds against the sharp discrete values on small grids.
     """
+    params = solution.params
+    decay_time = _real("decay_time", solution.decay_time,
+                       error=InvalidParameter)
     ni = grid.interior_count
     p_dofs = grid.interior_map()[grid.triangles()]
     u_dofs = np.hstack([p_dofs, np.where(p_dofs < 0, -1, p_dofs + ni)])
@@ -319,36 +306,13 @@ def assemble_biot(grid: Grid2D, params: BiotParameters,
     edges, xm, ym = _edges(grid)
     loads = _scatter(p_dofs, edges, area / 3.0 * 0.5 * _EDGE_REF,
                      (ni, xm.size))
-
-    if solution is None:
-        load_u = lambda t: np.zeros(2 * ni)
-        load_p = lambda t: np.zeros(ni)
-        p0 = np.zeros(ni)
-        exact_u = exact_p = None
-    else:
-        def integrated(t):
-            """Both load vectors by the mid-edge rule at time t."""
-            return ((loads @ solution.f(t, xm, ym)).T.ravel(),
-                    loads @ solution.g(t, xm, ym))
-
-        f0, g0 = integrated(0.0)
-        decay_time = _real("decay_time", solution.decay_time,
-                           error=InvalidParameter)
-        decay = math.exp(-_LOAD_PROBE / decay_time)
-        for name, direct, base in zip("fg", integrated(_LOAD_PROBE), (f0, g0)):
-            if not np.allclose(decay * base, direct, rtol=0.0,
-                               atol=1e-12 * np.abs(direct).max()):
-                raise InvalidParameter(
-                    f"source {name} does not decay with the declared decay "
-                    f"time {decay_time:g}: its load at t={_LOAD_PROBE:g} is "
-                    f"not exp(-t / {decay_time:g}) times its load at t=0")
-        load_u = lambda t: math.exp(-t / decay_time) * f0
-        load_p = lambda t: math.exp(-t / decay_time) * g0
-        p0 = interpolate(grid, solution.p, 0.0)
-        exact_u = lambda t: interpolate(grid, solution.u, t)
-        exact_p = lambda t: interpolate(grid, solution.p, t)
+    f0 = (loads @ solution.f(xm, ym)).T.ravel()
+    g0 = loads @ solution.g(xm, ym)
+    u_exact = interpolate(grid, solution.u)
+    p0 = interpolate(grid, solution.p)
+    decay = lambda t: math.exp(-t / decay_time)
     a_factor = factorize(elasticity)
-    u0 = a_factor.solve(coupling.T @ p0 + load_u(0.0))
+    u0 = a_factor.solve(coupling.T @ p0 + f0)
 
     return CoupledSystem(
         elasticity=elasticity,
@@ -362,12 +326,12 @@ def assemble_biot(grid: Grid2D, params: BiotParameters,
         flow_coercivity=params.kappa_over_nu,
         storage_coercivity=params.inv_m,
         coupling_constant=params.alpha ** 2 / (params.mu + params.lam),
-        load_u=load_u,
-        load_p=load_p,
+        load_u=lambda t: decay(t) * f0,
+        load_p=lambda t: decay(t) * g0,
         u0=u0,
         p0=p0,
-        exact_u=exact_u,
-        exact_p=exact_p,
+        exact_u=lambda t: decay(t) * u_exact,
+        exact_p=lambda t: decay(t) * p0,
         label=f"biot2d(n={grid.n})",
         elasticity_factor=a_factor,
     )
@@ -385,8 +349,7 @@ def manufactured_system(n: int) -> CoupledSystem:
     :func:`porosplit.system.semidiscrete_solution`), so a run that never
     reads it never pays for its dense eigenproblem.
     """
-    params = BiotParameters()
-    solution = manufactured(params)
-    sys = assemble_biot(Grid2D(n), params, solution)
+    solution = manufactured(BiotParameters())
+    sys = assemble_biot(Grid2D(n), solution)
     u, p = semidiscrete_solution(sys, ("exp", 1.0 / solution.decay_time))
     return replace(sys, semidiscrete_u=u, semidiscrete_p=p)

@@ -214,6 +214,15 @@ class TestMain:
 
 
 class TestStudySubcommands:
+    def test_convergence_default_biot_run_fits_its_order(self, tmp_path,
+                                                         capsys):
+        # the studies' clock starts at t = 1, past the initial layer that
+        # bends the k = 3 fit to 2.62 when the runs start at t = 0
+        assert main(["convergence", "--k", "3", "--out", str(tmp_path)]) \
+            == EXIT_OK
+        fitted = re.search(r"fitted order (\S+)", capsys.readouterr().out)
+        assert abs(float(fitted.group(1)) - 3.0) <= 0.2
+
     def test_balance_writes_both_tables_from_one_set_of_runs(
             self, tmp_path, monkeypatch, study_runs):
         results = []
@@ -226,8 +235,10 @@ class TestStudySubcommands:
         monkeypatch.setattr(studies, "balancing_study", keep)
         assert main(["balance", "--n", "4", "--taus", "2^-3,2^-4",
                      "--out", str(tmp_path)]) == EXIT_OK
-        # one reference run, then per tau one implicit and five split runs
-        assert len(study_runs) == 1 + 2 * (1 + 5)
+        # one reference run, the shift of the clock to t_start = 1, then per
+        # tau one implicit and five split runs
+        assert len(study_runs) == 1 + 1 + 2 * (1 + 5)
+        assert ("time_shifted", 1.0) in study_runs
         (res,) = results
         assert (tmp_path / "balancing_1.csv").read_text() \
             == res.report.to_csv()

@@ -27,10 +27,9 @@ NET = (2, [0.4, 0.2], [1.0, 1.0], [1.0, 1.0])
 
 
 def _decay_time(value):
-    params = fem2d.BiotParameters()
-    solution = dataclasses.replace(fem2d.manufactured(params),
-                                   decay_time=value)
-    return fem2d.assemble_biot(fem2d.Grid2D(2), params, solution)
+    solution = dataclasses.replace(
+        fem2d.manufactured(fem2d.BiotParameters()), decay_time=value)
+    return fem2d.assemble_biot(fem2d.Grid2D(2), solution)
 
 
 # (id, call of the value, exception, name the message starts with, a value

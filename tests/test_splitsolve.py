@@ -837,7 +837,7 @@ class TestSplittingErrorControl:
     def test_zero_coupling_trajectories_coincide(self):
         prm = fem2d.BiotParameters(alpha=1e-13)
         grid = fem2d.Grid2D(6)
-        sys = fem2d.assemble_biot(grid, prm, fem2d.manufactured(prm))
+        sys = fem2d.assemble_biot(grid, fem2d.manufactured(prm))
         cfg = SplitConfig(tol=1e-12, stabilization=1.0)
         t_split = integrate(sys, cfg, scheme(2), 0.125, 1.0, mode="split")
         t_impl = integrate(sys, cfg, scheme(2), 0.125, 1.0, mode="implicit")
