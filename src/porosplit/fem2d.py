@@ -344,10 +344,9 @@ def manufactured_system(n: int) -> CoupledSystem:
     the matching exact solution of the spatially discretized system
     (``semidiscrete_*``), the latter serving as a drift-free reference for
     temporal studies. The oracle's source shape is exp(-rate t) with rate
-    1 / decay_time, the decay the loads are scaled by. It is
-    validated here but built on its first evaluation (see
-    :func:`porosplit.system.semidiscrete_solution`), so a run that never
-    reads it never pays for its dense eigenproblem.
+    1 / decay_time, the decay the loads are scaled by. It is built on its
+    first evaluation (see :func:`porosplit.system.semidiscrete_solution`),
+    so a run that never reads it never pays for its dense eigenproblem.
     """
     solution = manufactured(BiotParameters())
     sys = assemble_biot(Grid2D(n), solution)

@@ -69,7 +69,7 @@ __all__ = [
 
 
 class MissingConstants(RuntimeError):
-    """A constant the split run reads is not finite, or beta < 0."""
+    """A constant the split run reads is not finite or out of range."""
 
 
 class MaxInnerExceeded(RuntimeError):
@@ -204,12 +204,10 @@ def default_stabilization(sys: CoupledSystem) -> float:
     i >= 2, so the bound holds from the second ratio of each step on, and
     from the first when f is constant in time (A du_1 = D^T dp_1 +
     f(t_n) - f(t_{n-1})). Raises :class:`MissingConstants` for a beta
-    that is not finite or negative.
+    that is not finite or out of range (a real >= 0, by the number rule).
     """
-    beta = sys.coupling_constant
-    if not (math.isfinite(beta) and beta >= 0.0):
-        raise MissingConstants(f"coupling_constant (beta) is {beta}")
-    return beta
+    return _real("coupling_constant (beta)", sys.coupling_constant,
+                 zero_ok=True, error=MissingConstants)
 
 
 def contraction_factor(stabilization: float, storage_coercivity: float) -> float:
@@ -253,7 +251,11 @@ class StepperWork:
     """The decisions, sweep operators and factorizations of one
     :func:`integrate` call.
 
-    A split run resolves L at construction as ``stabilization``:
+    A split run first checks the coercivities by the number rule (c_a and
+    c_c real and > 0, c_b real and >= 0), else :class:`MissingConstants`
+    naming the constant: a negative one makes the termination weight W
+    indefinite, and the functional, clipped at 0, can stop a step after
+    one sweep. It then resolves L as ``stabilization``:
     ``cfg.stabilization``; or for ``cfg.gamma_target`` the exact L on a
     scalar pressure (for any scalar M_H), else the inverse of
     gamma^2 = (L/2)/(c_c + L/2); or
@@ -295,10 +297,12 @@ class StepperWork:
         self._factors: dict = {}
         if mode == "implicit":
             return
-        for name in ("elastic_coercivity", "flow_coercivity",
-                     "storage_coercivity"):
-            if not math.isfinite(getattr(sys, name)):
-                raise MissingConstants(f"{name} is {getattr(sys, name)}")
+        _real("elastic_coercivity", sys.elastic_coercivity,
+              error=MissingConstants)
+        _real("flow_coercivity", sys.flow_coercivity, zero_ok=True,
+              error=MissingConstants)
+        _real("storage_coercivity", sys.storage_coercivity,
+              error=MissingConstants)
         xi0 = sch.leading
         if cfg.stabilization is not None:
             ell = cfg.stabilization

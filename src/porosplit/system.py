@@ -53,7 +53,10 @@ class CoupledSystem:
 
     The constants bound the forms against the norms: the coercivities
     from below, and beta = lambda_max(D A^{-1} D^T, M_H) (M_H: ``norm_p``)
-    from above, so that ||D^T q||^2_{A^{-1}} <= beta ||q||_H^2.
+    from above, so that ||D^T q||^2_{A^{-1}} <= beta ||q||_H^2. Declared
+    facts (beta, the coercivities, the source law a builder states to
+    :func:`semidiscrete_solution`) are trusted at run time and tested for
+    each builder; a split run checks their form by the number rule.
 
     ``elasticity_factor`` is the one factorization of A. A builder that
     has factored A passes its factor in; a system built without one
@@ -134,48 +137,27 @@ def semidiscrete_solution(sys: CoupledSystem, shape: tuple[str, float]):
     sources: ``("sin", freq)`` for g ~ sin(freq t) with constant f, or
     ``("exp", rate)`` for both sources proportional to exp(-rate t).
 
-    Construction only validates: the flow operator must be symmetric and
-    the stored loads must match the declared shape, else
-    :class:`InvalidParameter` is raised. The modal data (the dense Schur
-    complement, its generalized eigenpairs and the modal loads) cost
-    O(n_p^3) and are built on the first evaluation of either returned
-    evaluator, then shared by both. A is solved with the system's
-    ``elasticity_factor``.
+    The caller states the law, which is trusted. Construction checks only
+    the shape tag (its kind, and freq or rate by the number rule) and the
+    symmetry of B, else :class:`InvalidParameter`, and reads the loads
+    the law needs: g(pi / (2 freq)) for ``"sin"``, f(0) and g(0) for
+    ``"exp"``. The modal data (the dense Schur complement, its
+    generalized eigenpairs and the modal loads) cost O(n_p^3) and are
+    built on the first evaluation of either returned evaluator, then
+    shared by both. A is solved with the system's ``elasticity_factor``.
     """
     kind, par = shape
     b = sys.flow_stiffness
     if not abs(b - b.T).max() <= 1e-12 * max(abs(b).max(), 1e-300):
         raise InvalidParameter("modal solution needs a symmetric flow operator")
 
-    def _check(probe: np.ndarray, model: np.ndarray, ref: np.ndarray,
-               rel: float, what: str):
-        """Reject unless ``probe`` is within rel * (max |ref| + 1) of
-        ``model`` in every entry."""
-        if not np.abs(probe - model).max() <= rel * (np.abs(ref).max() + 1.0):
-            raise InvalidParameter(f"sources do not match the declared {kind} shape: {what}")
-
     if kind == "sin":
         freq = _real("sin frequency", par, error=InvalidParameter)
-        f0 = sys.load_u(0.0)
-        for t_probe in (0.37, 1.13):
-            _check(sys.load_u(t_probe), f0, f0, 1e-12,
-                   "f must be constant in time")
         g_hat = sys.load_p(0.5 * math.pi / freq)
-        probe = 0.7 / freq
-        _check(sys.load_p(probe), math.sin(freq * probe) * g_hat, g_hat,
-               1e-10, "g must be sinusoidal")
-
     elif kind == "exp":
         rate = _real("exp rate", par, zero_ok=True, error=InvalidParameter)
         f0 = sys.load_u(0.0)
         g0 = sys.load_p(0.0)
-        for t_probe in (0.37, 1.13):
-            decay = math.exp(-rate * t_probe)
-            _check(sys.load_u(t_probe), decay * f0, f0, 1e-10,
-                   "f must decay exponentially")
-            _check(sys.load_p(t_probe), decay * g0, g0, 1e-10,
-                   "g must decay exponentially")
-
     else:
         raise InvalidParameter(f"unknown source shape {kind!r}")
 

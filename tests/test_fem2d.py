@@ -431,13 +431,8 @@ class TestLazyOracle:
         with pytest.raises(InvalidParameter, match="symmetric flow"):
             semidiscrete_solution(bad, ("exp", 0.2))
 
-    @pytest.mark.parametrize("shape, what", [
-        (("sin", 1.0), "f must be constant"),
-        (("exp", 0.3), "f must decay exponentially"),
-        (("cos", 1.0), "unknown source shape"),
-    ])
-    def test_rejects_mismatched_source_shape(self, shape, what, monkeypatch):
+    def test_rejects_an_unknown_source_shape(self, monkeypatch):
         sys = assemble_biot(Grid2D(4), manufactured(BiotParameters()))
         monkeypatch.setattr(system, "factorize", None)
-        with pytest.raises(InvalidParameter, match=what):
-            semidiscrete_solution(sys, shape)
+        with pytest.raises(InvalidParameter, match="unknown source shape"):
+            semidiscrete_solution(sys, ("cos", 1.0))

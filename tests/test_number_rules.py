@@ -18,7 +18,8 @@ import pytest
 
 from porosplit import bdf, cli, fem2d, stability, studies, system
 from porosplit.bdf import History, UnsupportedOrder
-from porosplit.splitsolve import (SplitConfig, StepReport, contraction_factor,
+from porosplit.splitsolve import (MissingConstants, SplitConfig, StepReport,
+                                  contraction_factor, integrate,
                                   predict_iterations, step_count)
 from porosplit.system import InvalidParameter, make_network_toy, make_toy
 
@@ -30,6 +31,14 @@ def _decay_time(value):
     solution = dataclasses.replace(
         fem2d.manufactured(fem2d.BiotParameters()), decay_time=value)
     return fem2d.assemble_biot(fem2d.Grid2D(2), solution)
+
+
+def _split_run(field, value):
+    """One split step at L = beta of the toy that declares ``value`` as
+    its constant ``field``."""
+    return integrate(dataclasses.replace(TOY, **{field: value}),
+                     SplitConfig(tol=1e-6), bdf.scheme(1), 0.5, 0.5,
+                     mode="split")
 
 
 # (id, call of the value, exception, name the message starts with, a value
@@ -89,6 +98,13 @@ REAL_ENTRIES = [
      ValueError, "stabilization", -0.5),
     ("gamma-target", lambda v: SplitConfig(tol=1e-6, gamma_target=v),
      ValueError, "gamma_target", 0.0),
+    *[(f"split-{field}", lambda v, field=field: _split_run(field, v),
+       MissingConstants, name, below)
+      for field, name, below in (
+          ("elastic_coercivity", "elastic_coercivity", 0.0),
+          ("flow_coercivity", "flow_coercivity", -0.5),
+          ("storage_coercivity", "storage_coercivity", 0.0),
+          ("coupling_constant", "coupling_constant (beta)", -0.5))],
     ("contraction-L", lambda v: contraction_factor(v, 1.0), ValueError,
      "stabilization", 0.0),
     ("contraction-c_c", lambda v: contraction_factor(1.0, v), ValueError,
@@ -216,11 +232,6 @@ def test_a_zero_tau_is_named_by_the_dry_run(subcommand, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_exp_rate_zero_still_reaches_the_source_probe():
-    with pytest.raises(InvalidParameter, match="g must decay exponentially"):
-        system.semidiscrete_solution(TOY, ("exp", 0.0))
-
-
 @pytest.mark.parametrize("call", [
     lambda: bdf.scheme(np.int64(2)).order == 2,
     lambda: History(np.int64(2)).capacity == 2,
@@ -228,6 +239,10 @@ def test_exp_rate_zero_still_reaches_the_source_probe():
     lambda: SplitConfig(tol=np.float64(1e-6), max_inner=np.int64(3),
                         gamma_target=np.float64(0.5)).max_inner == 3,
     lambda: SplitConfig(tol=1e-6, stabilization=0.0).stabilization == 0.0,
+    lambda: SplitConfig(tol=1e-6, stabilization=np.float64(1.0)
+                        ).stabilization == 1.0,
+    lambda: SplitConfig(tol=1e-6, gamma_target=np.float32(0.5)
+                        ).gamma_target == 0.5,
     lambda: stability.criterion_min(np.int64(1), np.float64(0.0),
                                     samples=np.int64(2000))
     == stability.criterion_min(1, 0.0, samples=2000),
@@ -266,7 +281,8 @@ def test_exp_rate_zero_still_reaches_the_source_probe():
     lambda: studies.iteration_plan(1, [2.0], [np.float64(0.5)],
                                    [np.float64(0.25)]) is None,
 ], ids=["order", "capacity", "grid-n", "split-config", "stabilization-0",
-        "criterion", "identity", "omega", "omega-int", "biot", "network",
+        "stabilization-float64", "gamma-target-float32", "criterion",
+        "identity", "omega", "omega-int", "biot", "network",
         "t0-0", "t0", "step-count", "convergence-plan", "balancing-plan",
         "sin-frequency", "cli-s", "predict", "negative-tol-exponent",
         "negative-exponent", "iteration-plan"])

@@ -257,44 +257,6 @@ class TestStepSplit:
         with pytest.raises(SolverFailure, match="inner iteration 1;"):
             split_step(bad, cfg, scheme(1), 0.125, hist, 1)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0},
-        {"tol": 1e-6, "stabilization": math.nan},
-        {"tol": 1e-6, "stabilization": math.inf},
-        {"tol": 1e-6, "gamma_target": math.nan},
-    ])
-    def test_config_rejects_non_finite_values(self, kwargs):
-        with pytest.raises(ValueError):
-            SplitConfig(**kwargs)
-
-    @pytest.mark.parametrize("max_inner", [2.5, 3.0, True, False,
-                                           np.bool_(True), "3"])
-    def test_config_rejects_a_max_inner_that_is_no_integer(self, max_inner):
-        # 2.5 used to fail inside the first step, after the factorizations,
-        # and True used to run with a cap of one sweep
-        with pytest.raises(ValueError, match="max_inner must be an integer"):
-            SplitConfig(tol=1e-6, max_inner=max_inner)
-
-    @pytest.mark.parametrize("name, value, rejected", [
-        ("tol", True, True),            # used to run with tol = 1
-        ("stabilization", True, True),  # used to run with L = 1
-        ("gamma_target", True, True),
-        ("tol", "1e-6", True),          # these three raised TypeError
-        ("stabilization", "1", True),
-        ("gamma_target", "0.5", True),
-        ("tol", np.float64(1e-6), False),
-        ("stabilization", np.float64(1.0), False),
-        ("gamma_target", np.float32(0.5), False),
-    ])
-    def test_config_takes_real_numbers_only(self, name, value, rejected):
-        kwargs = {"tol": 1e-6, name: value}
-        if rejected:
-            with pytest.raises(ValueError,
-                               match=f"{name} must be a real number"):
-                SplitConfig(**kwargs)
-        else:
-            assert getattr(SplitConfig(**kwargs), name) == value
-
     def test_config_accepts_a_numpy_integer_max_inner(self, toy):
         cfg = SplitConfig(tol=1e-12, stabilization=500.0,
                           max_inner=np.int64(3))
@@ -665,6 +627,25 @@ class TestStepperWork:
             integrate(bare, cfg, scheme(2), 0.125, 1.0, mode="split")
         traj = integrate(bare, cfg, scheme(2), 0.125, 1.0, mode="implicit")
         assert traj.stabilization is None
+
+    @pytest.mark.parametrize("name, value, gamma", [
+        # the first four used to run: the first two stopped every step
+        # after one sweep (max |p_N| 8.346 against 7.906), the third ran
+        # at L < 0 and the fourth at c_a = 1
+        ("elastic_coercivity", -1.0, None),
+        ("flow_coercivity", -1e6, None),
+        ("storage_coercivity", -1.0, 0.4),
+        ("elastic_coercivity", True, None),
+        ("coupling_constant", "0.9", None),   # used to raise TypeError
+    ])
+    def test_split_run_rejects_a_constant_out_of_the_number_rule(
+            self, name, value, gamma):
+        sys = dataclasses.replace(fem2d.manufactured_system(4),
+                                  **{name: value})
+        cfg = SplitConfig(tol=1e-8, gamma_target=gamma)
+        with pytest.raises(ss.MissingConstants,
+                           match=f"^{re.escape(name)} .*must"):
+            integrate(sys, cfg, scheme(2), 2.0 ** -4, 1.0, mode="split")
 
     def test_zero_stabilization_predicts_nothing(self):
         sys = fem2d.manufactured_system(4)

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from porosplit import system
+from porosplit import fem2d, system
 from porosplit.linalg import DimensionMismatch, factorize
 from porosplit.system import (CoupledSystem, InvalidParameter, make_network_toy,
                               make_toy, semidiscrete_solution, time_shifted)
@@ -158,20 +158,60 @@ class TestOracleValidation:
         with pytest.raises(InvalidParameter, match="symmetric flow"):
             semidiscrete_solution(bad, ("sin", 1.0))
 
-    @pytest.mark.parametrize("shape, what", [
-        (("exp", 0.0), "g must decay exponentially"),   # f passes at rate 0
-        (("sin", 2.0), "g must be sinusoidal"),
-    ])
-    def test_rejects_mismatched_source_shape(self, shape, what, monkeypatch):
-        toy = self._built(make_toy(2.0), monkeypatch)
-        with pytest.raises(InvalidParameter, match=what):
-            semidiscrete_solution(toy, shape)
 
-    def test_rejects_time_dependent_f_for_sin(self, monkeypatch):
-        toy = self._built(make_toy(2.0), monkeypatch)
-        bad = replace(toy, load_u=lambda t: (1.0 + t) * np.ones(3))
-        with pytest.raises(InvalidParameter, match="f must be constant"):
-            semidiscrete_solution(bad, ("sin", 1.0))
+class TestDeclaredSourceLaw:
+    """Each builder's loads follow the law it states to the oracle; the
+    oracle trusts that law and reads only the loads it needs."""
+
+    BUILDERS = {
+        "toy": lambda: make_toy(2.0),
+        "network": lambda: make_network_toy(2, [0.4, 0.2], [1.0, 2.0],
+                                            [1.0, 0.5], {(0, 1): 0.05}),
+        "biot4": lambda: fem2d.manufactured_system(4),
+    }
+    # the decay rate manufactured_system states to the oracle
+    RATE = 1.0 / fem2d.manufactured(fem2d.BiotParameters()).decay_time
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_loads_follow_the_stated_law(self, builder):
+        # f constant and g = sin(t) g(pi/2) for the toys, both sources
+        # exp(-rate t) times their t = 0 values for Biot: each load within
+        # rel * (max |ref| + 1) of scale(t) * ref
+        sys = self.BUILDERS[builder]()
+
+        def decay(t):
+            return math.exp(-self.RATE * t)
+
+        if builder == "biot4":
+            laws = [(sys.load_u, decay, sys.load_u(0.0), 1e-10),
+                    (sys.load_p, decay, sys.load_p(0.0), 1e-10)]
+        else:
+            laws = [(sys.load_u, lambda t: 1.0, sys.load_u(0.0), 1e-12),
+                    (sys.load_p, math.sin, sys.load_p(0.5 * math.pi), 1e-10)]
+        for t in (0.37, 0.7, 1.13):
+            for load, scale, ref, rel in laws:
+                assert np.abs(load(t) - scale(t) * ref).max() \
+                    <= rel * (np.abs(ref).max() + 1.0)
+
+    @pytest.mark.parametrize("builder, shape, calls", [
+        ("toy", ("sin", 1.0), (0, 1)),
+        ("biot4", ("exp", RATE), (1, 1)),
+    ])
+    def test_construction_reads_only_the_loads_it_needs(self, builder, shape,
+                                                        calls):
+        counts = {"load_u": 0, "load_p": 0}
+
+        def counted(name, load):
+            def call(t):
+                counts[name] += 1
+                return load(t)
+            return call
+
+        sys = self.BUILDERS[builder]()
+        sys = replace(sys, load_u=counted("load_u", sys.load_u),
+                      load_p=counted("load_p", sys.load_p))
+        semidiscrete_solution(sys, shape)
+        assert (counts["load_u"], counts["load_p"]) == calls
 
 
 class TestResidual:
