@@ -14,13 +14,14 @@ Python layers, which dominate a solve on the toy's 3x3 blocks.
 SuperLU orders for symmetric structure and pivots on the diagonal: a
 minimum-degree ordering of the pattern of A^T + A (``MMD_AT_PLUS_A``),
 ``SymmetricMode`` and a diagonal pivot threshold of 0.01. Every sparse
-matrix the stepper factors has a symmetric pattern: A, the split pressure
-block and the monolithic block. SuperLU's default COLAMD ordering ignores
-that, and full partial pivoting lets row exchanges undo a symmetric
-ordering: on the monolithic BDF-3 block at n = 16, tau = 2^-10, the
-ordering alone with partial pivoting fills 218 k entries against COLAMD's
-58 k, and with diagonal pivoting 40 k. See :class:`Factor` for why
-pivoting on the diagonal is stable here.
+matrix the stepper factors has a symmetric pattern: A, the split
+pressure block, the start-up preconditioner and the monolithic block.
+SuperLU's default COLAMD ordering ignores that, and full partial
+pivoting lets row exchanges undo a symmetric ordering: on the monolithic
+BDF-3 block at n = 16, tau = 2^-10, the ordering alone with partial
+pivoting fills 218 k entries against COLAMD's 58 k, and with diagonal
+pivoting 40 k. See :class:`Factor` for why pivoting on the diagonal is
+stable here.
 """
 
 from __future__ import annotations
@@ -124,8 +125,9 @@ class Factor:
 
     A sparse matrix solves through SuperLU, ordered by minimum degree on
     the pattern of A^T + A with diagonal pivoting (threshold 0.01). That
-    is safe for the matrices the stepper factors. A and the split pressure
-    block (xi0/tau)(C + L M_H) + B are SPD. The monolithic block
+    is safe for the matrices the stepper factors. A, the split pressure
+    block (xi0/tau)(C + L M_H) + B and the start-up preconditioner
+    (xi_n/tau) C + B are SPD. The monolithic block
     [[A, -D^T], [(xi0/tau) D, (xi0/tau) C + B]] with its second block row
     scaled by tau/xi0 has the symmetric part diag(A, C + (tau/xi0) B),
     which is SPD; a matrix with an SPD symmetric part keeps one under
@@ -142,10 +144,13 @@ class Factor:
     The relative-pivot check reads the diagonal of ``lu.U``. Reading
     ``lu.U`` makes scipy build CSC copies of both L and U, and the
     ``SuperLU`` object keeps both for as long as the factor lives
-    (``lu.U is lu.U``): at n = 48, 4.2 MiB for A's factor (tracemalloc)
-    and 7.6 MB of resident memory for the monolithic BDF-1 block at
-    tau = 2^-5. ``SuperLU`` offers no other source of the pivots, so this
-    is the memory cost of the check.
+    (``lu.U is lu.U``): at n = 48 (tracemalloc), 4.2 MiB for A's factor,
+    1.1 MiB for a 2209-wide pressure-sized factor and 9.3 MiB for the
+    6627-wide monolithic BDF-1 block at tau = 2^-5, whose factorization
+    raised a split run's peak resident memory by about 20 MB until the
+    start-up steps stopped factoring their blocks (see
+    ``splitsolve.step_implicit``). ``SuperLU`` offers no other source of
+    the pivots, so this is the memory cost of the check.
 
     A dense matrix keeps the ``lu_factor`` output and the LAPACK ``getrs``
     routine for its dtype, looked up once here, and each solve is one

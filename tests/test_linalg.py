@@ -190,8 +190,9 @@ class TestSolveSpd:
 
 def _stepper_matrices(monkeypatch, n, k, tau):
     """The sparse matrices a Biot run at grid ``n``, BDF-``k`` and ``tau``
-    solves with: A, which the system factors, and the split pressure block
-    and the monolithic block, as the stepper builds them."""
+    solves with: A, which the system factors, and the split pressure block,
+    the start-up preconditioner of BDF-``k`` and the monolithic block, as
+    the stepper builds them."""
     built = []
 
     def keep(m):
@@ -204,11 +205,12 @@ def _stepper_matrices(monkeypatch, n, k, tau):
     work = splitsolve.StepperWork(sys, splitsolve.SplitConfig(tol=1e-8), sch,
                                   tau, "split")
     work.pressure_factor()
-    work.block_factor(sch)
+    work.startup_factor(sch)
+    work.block_factor()
     built.insert(0, sys.elasticity)
     assert all(scipy.sparse.issparse(m) for m in built)
-    return dict(zip(("elasticity", "pressure", "monolithic"), built,
-                    strict=True))
+    return dict(zip(("elasticity", "pressure", "startup", "monolithic"),
+                    built, strict=True))
 
 
 class TestSparseOrdering:

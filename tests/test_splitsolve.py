@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from porosplit import fem2d, splitsolve as ss
-from porosplit.bdf import History, scheme
-from porosplit.linalg import DimensionMismatch, weighted_norm_sq
+from porosplit.bdf import History, history_sum, scheme
+from porosplit.linalg import DimensionMismatch, as_array, weighted_norm_sq
 from porosplit.splitsolve import (MaxInnerExceeded, SolverFailure,
                                   SplitConfig, StepperWork,
                                   contraction_factor, default_stabilization,
@@ -401,6 +401,101 @@ class TestStepImplicit:
             np.testing.assert_allclose(p, p_star, atol=1e-10)
 
 
+def dense_block_step(sys, sch, tau, hist, n):
+    """Step n of ``sch`` by a dense LAPACK solve of the monolithic block."""
+    a, d = as_array(sys.elasticity), as_array(sys.coupling)
+    s = sch.leading / tau
+    block = np.block([[a, -d.T],
+                      [s * d, s * as_array(sys.storage)
+                       + as_array(sys.flow_stiffness)]])
+    past = history_sum(sch, hist)
+    t = n * tau
+    rhs = np.concatenate([
+        sys.load_u(t),
+        sys.load_p(t) - (d @ past[:sys.dim_u]
+                         + as_array(sys.storage) @ past[sys.dim_u:]) / tau])
+    return np.linalg.solve(block, rhs)
+
+
+def weak_biot(n):
+    """P1 Biot at grid n with storage 1e-6: beta / c_c near 1e6."""
+    return fem2d.assemble_biot(fem2d.Grid2D(n), fem2d.manufactured(
+        fem2d.BiotParameters(inv_m=1e-6)))
+
+
+class TestStartupSchur:
+    """A start-up step solves its block through the pressure Schur
+    complement, by CG preconditioned with (xi_n/tau) C + B."""
+
+    @pytest.mark.parametrize("build, tau", [
+        (functools.partial(make_toy, 2.0), 0.125),
+        (functools.partial(make_network_toy, 2, [0.4, 0.2], [1.0, 2.0],
+                           [1.0, 1.0], {(0, 1): 5.0}), 0.125),
+        (functools.partial(fem2d.manufactured_system, 4), 2.0 ** -5),
+        (functools.partial(fem2d.manufactured_system, 8), 2.0 ** -5),
+        (functools.partial(weak_biot, 8), 2.0 ** -10),
+    ], ids=["toy", "network", "biot4", "biot8", "weak-biot8"])
+    def test_agrees_with_a_direct_block_solve(self, build, tau, factor_calls):
+        sys = build()
+        k = 3
+        work = StepperWork(sys, SplitConfig(tol=1.0), scheme(k), tau,
+                           "implicit")
+        hist = stacked(k, [sys.u0], [sys.p0])
+        for n in range(1, k):
+            z = np.concatenate(step_implicit(work, scheme(n), hist, n))
+            direct = dense_block_step(sys, scheme(n), tau, hist, n)
+            rel = np.linalg.norm(z - direct) / np.linalg.norm(direct)
+            assert rel <= 1e-12, (n, rel)
+            hist.push(z)
+        # one pressure-sized preconditioner per start-up order, no block
+        assert factor_calls == [(sys.dim_p, sys.dim_p)] * (k - 1)
+
+    def test_iterations_within_the_condition_bound(self, monkeypatch):
+        # P0 <= S <= (1 + beta/c_c) P0 gives kappa <= 1.225 on Biot, and
+        # CG's bound 2 ((sqrt(kappa) - 1)/(sqrt(kappa) + 1))^m reaches
+        # 1e-13 at m = 11; each iteration solves with P0 once
+        solves = []
+
+        class Counting:
+            def __init__(self, factor):
+                self.factor = factor
+
+            def solve(self, rhs):
+                solves.append(rhs.shape)
+                return self.factor.solve(rhs)
+
+        factorize = ss.factorize
+        monkeypatch.setattr(ss, "factorize", lambda m: Counting(factorize(m)))
+        sys = fem2d.manufactured_system(16)
+        tau = 2.0 ** -5
+        work = StepperWork(sys, SplitConfig(tol=1.0), scheme(2), tau,
+                           "implicit")
+        step_implicit(work, scheme(1), stacked(2, [sys.u0], [sys.p0]), 1)
+        assert 1 <= len(solves) <= 11
+        assert set(solves) == {(sys.dim_p,)}
+
+    def test_iteration_cap_is_a_solver_failure(self, biot8, monkeypatch):
+        monkeypatch.setattr(ss, "_SCHUR_MAX_ITER", 2)
+        tau = 2.0 ** -5
+        work = StepperWork(biot8, SplitConfig(tol=1.0), scheme(2), tau,
+                           "implicit")
+        hist = stacked(2, [biot8.u0], [biot8.p0])
+        with pytest.raises(SolverFailure, match=r"start-up step 1 \(BDF-1\)"
+                           r".* relative residual \d.* after 2 iterations"):
+            step_implicit(work, scheme(1), hist, 1)
+
+    def test_zero_right_hand_side_takes_no_iteration(self, toy):
+        # the stationary state of zero data: p = 0 without a CG iteration
+        rest = dataclasses.replace(
+            toy, load_u=lambda t: np.zeros(3), load_p=lambda t: np.zeros(1),
+            u0=np.zeros(3), p0=np.zeros(1))
+        work = StepperWork(rest, SplitConfig(tol=1.0), scheme(2), 0.125,
+                           "implicit")
+        u, p = step_implicit(work, scheme(1),
+                             stacked(2, [rest.u0], [rest.p0]), 1)
+        assert not u.any() and not p.any()
+
+
 class TestIntegrate:
     def test_single_step_equals_step_function(self, toy):
         sch = scheme(1)
@@ -535,20 +630,24 @@ class TestStepCount:
 
 
 class TestStepperWork:
-    # A is the system's: a run factors only its pressure and BDF blocks
+    # A is the system's: a split run factors pressure-sized blocks only
+    # (49 wide on biot8), an implicit run its own BDF block too (147)
     @pytest.mark.parametrize("mode, k, start, factors", [
-        ("split", 2, "bootstrap", 2),      # pressure block, BDF-1 block
-        ("implicit", 2, "bootstrap", 2),   # BDF-1 and BDF-2 blocks
-        ("split", 3, "seeded", 1),         # pressure block
-        ("implicit", 3, "seeded", 1),      # BDF-3 block
-    ])
+        # BDF-1 start-up preconditioner, pressure block
+        ("split", 2, "bootstrap", [(49, 49), (49, 49)]),
+        # BDF-1 start-up preconditioner, BDF-2 block
+        ("implicit", 2, "bootstrap", [(49, 49), (147, 147)]),
+        ("split", 3, "seeded", [(49, 49)]),        # pressure block
+        ("implicit", 3, "seeded", [(147, 147)]),   # BDF-3 block
+    ], ids=["split-2-bootstrap-2", "implicit-2-bootstrap-2",
+            "split-3-seeded-1", "implicit-3-seeded-1"])
     def test_factorizations_per_run(self, biot8, factor_calls, mode, k,
                                     start, factors):
         cfg = SplitConfig(tol=1e-6, gamma_target=0.4)
         seeds = exact_seeds(biot8, k, 0.125) if start == "seeded" else None
         integrate(biot8, cfg, scheme(k), 0.125, 1.0, mode=mode,
                   initial_history=seeds)
-        assert len(factor_calls) == factors, factor_calls
+        assert factor_calls == factors
 
     def test_exact_stabilization_solves_with_the_runs_factor(self, toy,
                                                               factor_calls):
